@@ -24,16 +24,8 @@ from .conductor import ConductorError, Engine
 from .config import ASSET_ROOT, ConfigError, EngineConfig, load_config
 from .context_graph import GraphError
 from .melody import MelodyError
-from .osc_gateway import (
-    ActivateConcept,
-    AssignTheme,
-    GameMessage,
-    MessageQueue,
-    OscServer,
-    SetAffect,
-    SetEdge,
-)
-from .render import RealClock, VirtualClock, score_events, stream_events, write_midi
+from .osc_gateway import MESSAGE_TYPES, GameMessage, MessageType, OscServer
+from .render import RealClock, score_events, stream_events, write_midi
 from .themes import ThemeError, ThemeLibrary
 
 EXIT_OK = 0
@@ -46,22 +38,15 @@ class TraceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# trace files: one JSON object per line, non-decreasing t_ms
+# trace files: one JSON object per line, non-decreasing t_ms; each event
+# obeys the OSC schema
 
 
 def parse_trace_line(obj: dict) -> GameMessage:
-    kind = obj.get("type")
-    if kind == "activate":
-        return ActivateConcept(obj["name"], obj.get("kind", "object"),
-                               float(obj["level"]), obj.get("mode", "set"))
-    if kind == "affect":
-        return SetAffect(obj["category"], float(obj["level"]),
-                         obj.get("mode", "set"))
-    if kind == "edge":
-        return SetEdge(obj["a"], obj["b"], float(obj["weight"]))
-    if kind == "theme":
-        return AssignTheme(obj["concept"], int(obj["theme_id"]))
-    raise TraceError(f"unknown event type {kind!r}")
+    kind = MESSAGE_TYPES.get(obj.get("type"))
+    if kind is None:
+        raise TraceError(f"unknown event type {obj.get('type')!r}")
+    return kind.from_fields(obj)
 
 
 def parse_trace(text: str, source: str = "<trace>") -> list[tuple[int, GameMessage]]:
@@ -75,7 +60,7 @@ def parse_trace(text: str, source: str = "<trace>") -> list[tuple[int, GameMessa
             obj = json.loads(line)
             t_ms = int(obj["t_ms"])
             msg = parse_trace_line(obj)
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise TraceError(f"{source}:{lineno}: {exc}") from None
         if t_ms < last_t:
             raise TraceError(
@@ -213,11 +198,24 @@ def cmd_validate_config(args) -> int:
     return EXIT_OK
 
 
-REPL_HELP = """commands:
-  affect <category> <level>        set an affect activation (0-100)
-  activate <name> <level> [env]    activate an object (or environment) concept
-  edge <a> <b> <weight>            add an explicit edge (0-1)
-  theme <concept> <id>             assign a theme to an object
+def _repl_fields(kind: MessageType) -> list[tuple[str, str, object]]:
+    """REPL argument order: the required fields, then the defaulted ones."""
+    return sorted(kind.fields, key=lambda f: f[0] in kind.defaults)
+
+
+def repl_message(kind: MessageType, words: list[str]) -> GameMessage:
+    """Build a message from REPL words; a field OSC sends as a float is parsed as one."""
+    fields = _repl_fields(kind)
+    if len(words) > len(fields):
+        raise ValueError(f"{kind.name} takes at most {len(fields)} arguments")
+    return kind.from_fields({name: float(word) if tag == "f" else word
+                             for (name, tag, _), word in zip(fields, words)})
+
+
+REPL_HELP = "game messages, with the values OSC accepts ([field] may be omitted):\n" + "".join(
+    "  " + " ".join([kind.name] + [f"[{name}]" if name in kind.defaults else f"<{name}>"
+                                   for name, _, _ in _repl_fields(kind)]) + "\n"
+    for kind in MESSAGE_TYPES.values()) + """commands:
   tick [n]                         advance n engine ticks (default 1)
   compose                          compose the next two-measure block
   graph                            dump the context graph
@@ -244,18 +242,8 @@ def cmd_repl(args) -> int:
                 break
             elif cmd == "help":
                 print(REPL_HELP, end="")
-            elif cmd == "affect" and len(words) == 3:
-                engine.queue.put(SetAffect(words[1], float(words[2]), "set"))
-                engine.ingest()
-            elif cmd == "activate" and len(words) in (3, 4):
-                kind = "environment" if len(words) == 4 and words[3] == "env" else "object"
-                engine.queue.put(ActivateConcept(words[1], kind, float(words[2]), "set"))
-                engine.ingest()
-            elif cmd == "edge" and len(words) == 4:
-                engine.queue.put(SetEdge(words[1], words[2], float(words[3])))
-                engine.ingest()
-            elif cmd == "theme" and len(words) == 3:
-                engine.queue.put(AssignTheme(words[1], int(words[2])))
+            elif cmd in MESSAGE_TYPES:
+                engine.queue.put(repl_message(MESSAGE_TYPES[cmd], words[1:]))
                 engine.ingest()
             elif cmd == "tick":
                 n = int(words[1]) if len(words) > 1 else 1

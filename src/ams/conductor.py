@@ -27,13 +27,12 @@ from .melody import (
 )
 from .osc_gateway import MessageQueue
 from .percussion import GM_NOTES, generate_percussion
-from .render import PERCUSSION_CHANNEL, Score, ScoreNote, Track
+from .render import BLOCK_TICKS, PERCUSSION_CHANNEL, TICKS_PER_QUARTER, Score, ScoreNote, Track
 from .themes import ThemeLibrary
 from .xcs import XcsPopulation
 
 log = logging.getLogger(__name__)
 
-BLOCK_MEASURES = 2
 PERCUSSION_HIT_TICKS = 60
 
 
@@ -68,7 +67,7 @@ class Engine:
                                            reward_gate=config.reward_gate,
                                            h_min=config.h_min))
 
-        self.matrix = ResourceMatrix(config.beats_per_measure)
+        self.matrix = ResourceMatrix()
         self.chord_history: list[ChordSymbol] = []
         self.cycle_index = 0
         self.time_ms = 0
@@ -90,13 +89,12 @@ class Engine:
 
     # -- timing -------------------------------------------------------------
 
-    @property
-    def block_ticks(self) -> int:
-        return BLOCK_MEASURES * self.config.beats_per_measure * 480
+    block_ticks = BLOCK_TICKS
 
     @property
     def block_ms(self) -> float:
-        return BLOCK_MEASURES * self.config.beats_per_measure * 60_000.0 / self.config.tempo_bpm
+        # beats per block times ms per beat
+        return BLOCK_TICKS // TICKS_PER_QUARTER * 60_000.0 / self.config.tempo_bpm
 
     # -- graph maintenance --------------------------------------------------
 

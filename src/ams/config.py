@@ -3,12 +3,14 @@ key-value config file format (dotted keys, unknown keys are errors)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from .chord_model import STYLES
 from .context_graph import GraphParams
-from .melody import STYLE_RANGE_FACTORS
+from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
+from .render import BEATS_PER_MEASURE
 from .xcs import XcsParams
 
 ASSET_ROOT = Path(__file__).parent / "assets"
@@ -28,14 +30,14 @@ def _default_agent_range(agent_id: int) -> tuple[int, int]:
 
 @dataclass
 class EngineConfig:
+    beats_per_measure: ClassVar[int] = BEATS_PER_MEASURE  # read-only: the grid is fixed
     tempo_bpm: float = 120.0
-    beats_per_measure: int = 4
     style: str = "jazz"
     n_melody_agents: int = 3
     seed: int = 0
     tick_ms: int = 30
-    reward_gate: float = 0.6
-    h_min: float = 0.5
+    reward_gate: float = DEFAULT_REWARD_GATE
+    h_min: float = DEFAULT_H_MIN
     reward_max: float = 1.2
     top_chord_ranks: int = 8
     chord_order: int = 3
@@ -86,7 +88,6 @@ def _parse_bool(value: str) -> bool:
 # key -> (target, attribute, parser); target "" = EngineConfig itself
 _KEYS: dict[str, tuple[str, str, object]] = {
     "engine.tempo_bpm": ("", "tempo_bpm", float),
-    "engine.beats_per_measure": ("", "beats_per_measure", int),
     "engine.style": ("", "style", str),
     "engine.melody_agents": ("", "n_melody_agents", int),
     "engine.seed": ("", "seed", int),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .osc_gateway import (

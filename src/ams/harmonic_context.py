@@ -13,18 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chord_model import ChordSymbol
-
-CELLS_PER_BEAT = 4  # 16th-note grid at 4/4
-TICKS_PER_QUARTER = 480
-TICKS_PER_CELL = TICKS_PER_QUARTER // CELLS_PER_BEAT
+from .render import BLOCK_MEASURES, MEASURE_TICKS, TICKS_PER_CELL
 
 ROOT_VALUE = 1.0
 CHORD_TONE_VALUE = 0.8
 INITIAL_VALUE = 0.3
 CARRYOVER_CLAMP = 0.5
-
-WINDOW_MEASURES = 4
-SLIDE_MEASURES = 2
 
 
 class HarmonyError(ValueError):
@@ -43,30 +37,28 @@ class Placement:
 class ResourceMatrix:
     """12 x T grid of harmonic resource values in [0, 1].
 
-    The window spans four measures and slides by two on each extend; the
-    last two measures (the "active region") are where new placements land.
+    The window spans two blocks and slides by one block on each extend;
+    the last block (the "active region") is where new placements land.
     """
 
-    def __init__(self, beats_per_measure: int = 4):
-        self.beats_per_measure = beats_per_measure
-        self.cells_per_measure = beats_per_measure * CELLS_PER_BEAT
-        self.columns = WINDOW_MEASURES * self.cells_per_measure
+    cells_per_measure = MEASURE_TICKS // TICKS_PER_CELL
+    region_cells = BLOCK_MEASURES * cells_per_measure
+    region_start = region_cells  # after the previous block
+    columns = region_start + region_cells
+
+    def __init__(self):
         self.cells = np.full((12, self.columns), INITIAL_VALUE)
-        self.chord_labels: list[ChordSymbol | None] = [None] * self.columns
-        self.region_start = SLIDE_MEASURES * self.cells_per_measure
-        self.region_cells = self.columns - self.region_start
 
     def copy(self) -> "ResourceMatrix":
-        clone = ResourceMatrix(self.beats_per_measure)
+        clone = ResourceMatrix()
         clone.cells = self.cells.copy()
-        clone.chord_labels = list(self.chord_labels)
         return clone
 
     # -- extension ----------------------------------------------------------
 
     def extend(self, chords: list[tuple[ChordSymbol, int]]) -> None:
-        """Slide the window by two measures and fill the new columns from the
-        given chords (durations in measures, summing to exactly two)."""
+        """Slide the window by one block and fill the new columns from the
+        given chords (durations in measures, summing to BLOCK_MEASURES)."""
         if not chords:
             raise HarmonyError("extend requires at least one chord")
         total = 0
@@ -76,14 +68,13 @@ class ResourceMatrix:
             if measures <= 0:
                 raise HarmonyError("chord duration must be positive")
             total += measures
-        if total != SLIDE_MEASURES:
-            raise HarmonyError(f"chords must cover exactly {SLIDE_MEASURES} measures, got {total}")
+        if total != BLOCK_MEASURES:
+            raise HarmonyError(f"chords must cover exactly {BLOCK_MEASURES} measures, got {total}")
 
-        slide = SLIDE_MEASURES * self.cells_per_measure
+        slide = self.region_cells
         self.cells[:, :-slide] = self.cells[:, slide:]
-        self.chord_labels[:-slide] = self.chord_labels[slide:]
 
-        col = self.columns - slide
+        col = self.region_start
         for chord, measures in chords:
             for _ in range(measures * self.cells_per_measure):
                 previous = self.cells[:, col - 1]
@@ -92,7 +83,6 @@ class ResourceMatrix:
                     column[tone] = CHORD_TONE_VALUE
                 column[chord.root] = ROOT_VALUE
                 self.cells[:, col] = column
-                self.chord_labels[col] = chord
                 col += 1
 
     # -- placement geometry -------------------------------------------------

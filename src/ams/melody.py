@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .context_graph import AffectSnapshot
-from .harmonic_context import Placement, ResourceMatrix, TICKS_PER_CELL
+from .harmonic_context import Placement, ResourceMatrix
+from .osc_gateway import THEME_IDS
+from .render import BEATS_PER_MEASURE, MEASURE_TICKS, TICKS_PER_CELL, TICKS_PER_QUARTER
 from .xcs import XcsPopulation
-
-TICKS_PER_QUARTER = 480
-MEASURE_TICKS = 4 * TICKS_PER_QUARTER  # 4/4
 
 OPERATOR_NAMES = (
     "reverse", "diminish", "augment", "invert",
@@ -48,7 +47,7 @@ class OperatorError(MelodyError):
 @dataclass(frozen=True)
 class Note:
     pitch: int  # MIDI note number 0..127
-    onset: int  # ticks, 480/quarter
+    onset: int  # ticks, TICKS_PER_QUARTER per quarter
     duration: int  # ticks, > 0
     velocity: int = 96
 
@@ -84,7 +83,6 @@ class MelodicFragment:
     notes: tuple[Note, ...]
     length_measures: int  # 1..4
     key: Key
-    pitch_clamped: bool = False
 
     def __post_init__(self):
         if not 1 <= self.length_measures <= 4:
@@ -100,16 +98,9 @@ class MelodicFragment:
         return max(n.onset + n.duration for n in self.notes)
 
     def transposed(self, semitones: int) -> "MelodicFragment":
-        clamped = False
-        notes = []
-        for n in self.notes:
-            pitch = n.pitch + semitones
-            if pitch < 0 or pitch > 127:
-                pitch = min(127, max(0, pitch))
-                clamped = True
-            notes.append(replace(n, pitch=pitch))
-        return replace(self, notes=tuple(notes), key=self.key.transposed(semitones),
-                       pitch_clamped=self.pitch_clamped or clamped)
+        notes = tuple(replace(n, pitch=min(127, max(0, n.pitch + semitones)))
+                      for n in self.notes)
+        return replace(self, notes=notes, key=self.key.transposed(semitones))
 
     def shifted(self, ticks: int) -> "MelodicFragment":
         notes = tuple(replace(n, onset=n.onset + ticks) for n in self.notes)
@@ -151,16 +142,9 @@ def _scale_time(fragment: MelodicFragment, factor: float) -> MelodicFragment:
 
 def _invert(fragment: MelodicFragment) -> MelodicFragment:
     anchor = fragment.notes[0].pitch
-    clamped = False
-    notes = []
-    for n in fragment.notes:
-        pitch = anchor - (n.pitch - anchor)
-        if pitch < 0 or pitch > 127:
-            pitch = min(127, max(0, pitch))
-            clamped = True
-        notes.append(replace(n, pitch=pitch))
-    return replace(fragment, notes=tuple(notes),
-                   pitch_clamped=fragment.pitch_clamped or clamped)
+    notes = tuple(replace(n, pitch=min(127, max(0, anchor - (n.pitch - anchor))))
+                  for n in fragment.notes)
+    return replace(fragment, notes=notes)
 
 
 def apply_operator(fragment: MelodicFragment, op: int) -> MelodicFragment:
@@ -203,7 +187,7 @@ class FragmentFeatures:
 def compute_features(fragment: MelodicFragment, tempo_bpm: float) -> FragmentFeatures:
     if not fragment.notes:
         raise MelodyError("features undefined for an empty fragment")
-    beats = fragment.length_measures * 4
+    beats = fragment.length_measures * BEATS_PER_MEASURE
     seconds = beats * 60.0 / tempo_bpm
     notes = fragment.notes
     intervals = [abs(b.pitch - a.pitch) for a, b in zip(notes, notes[1:])]
@@ -242,7 +226,7 @@ def reward(snapshot: AffectSnapshot, features: FragmentFeatures,
 
 def encode_environment(snapshot: AffectSnapshot, theme_id: int) -> str:
     """Canonical-order affect bins (2 bits each) plus a 6-bit theme id."""
-    if not 0 <= theme_id < 64:
+    if not 0 <= theme_id < THEME_IDS:
         raise MelodyError(f"theme id {theme_id} does not fit 6 bits")
     bits = []
     for level in snapshot.as_tuple():

@@ -4,7 +4,7 @@ Address schema:
     /ams/activate  (s name, s kind, f level, s mode)
     /ams/affect    (s category, f level, s mode)
     /ams/edge      (s a, s b, f weight)
-    /ams/theme     (s concept, s theme_id)
+    /ams/theme     (s concept, s theme_id; an i theme_id is also accepted)
 
 Numerics are big-endian per OSC; strings are NUL-terminated and padded to
 4-byte boundaries.  Unknown addresses are skipped with a warning, out-of-range
@@ -18,14 +18,18 @@ import socket
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
 AFFECT_CATEGORIES = ("happiness", "excitement", "anger", "sadness", "tenderness", "threat")
 
+THEME_IDS = 64  # theme ids 0..63: the classifier context encodes one in 6 bits
+
 DEFAULT_PORT = 5005
 QUEUE_CAPACITY = 65536
+MAX_BUNDLE_DEPTH = 16
 
 
 class OscDecodeError(ValueError):
@@ -71,13 +75,13 @@ GameMessage = ActivateConcept | SetAffect | SetEdge | AssignTheme
 # wire format
 
 
-def _read_string(data: bytes, offset: int) -> tuple[str, int]:
-    end = data.find(b"\x00", offset)
+def _read_string(data: bytes, offset: int, limit: int) -> tuple[str, int]:
+    end = data.find(b"\x00", offset, limit)
     if end < 0:
         raise OscDecodeError("unterminated OSC string", offset)
     raw = data[offset:end]
     new_offset = offset + ((end - offset) // 4 + 1) * 4
-    if new_offset > len(data):
+    if new_offset > limit:
         raise OscDecodeError("string padding runs past end of datagram", end)
     try:
         return raw.decode("utf-8"), new_offset
@@ -90,23 +94,23 @@ def _pad_string(s: str) -> bytes:
     return raw + b"\x00" * (-len(raw) % 4)
 
 
-def _parse_message(data: bytes) -> tuple[str, list]:
-    """Parse a single OSC message into (address, args)."""
-    address, offset = _read_string(data, 0)
-    tags, offset = _read_string(data, offset)
+def _parse_message(data: bytes, start: int, end: int) -> tuple[str, list]:
+    """Parse the OSC message in data[start:end] into (address, args)."""
+    address, offset = _read_string(data, start, end)
+    tags, offset = _read_string(data, offset, end)
     if not tags.startswith(","):
         raise OscDecodeError("type tag string must start with ','", offset)
     args = []
     for tag in tags[1:]:
         if tag == "s":
-            value, offset = _read_string(data, offset)
+            value, offset = _read_string(data, offset, end)
         elif tag == "f":
-            if offset + 4 > len(data):
+            if offset + 4 > end:
                 raise OscDecodeError("truncated float argument", offset)
             (value,) = struct.unpack_from(">f", data, offset)
             offset += 4
         elif tag == "i":
-            if offset + 4 > len(data):
+            if offset + 4 > end:
                 raise OscDecodeError("truncated int argument", offset)
             (value,) = struct.unpack_from(">i", data, offset)
             offset += 4
@@ -145,129 +149,154 @@ def encode_bundle(elements: list[bytes], timetag: int = 1) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# schema
+# schema: each message type is declared once, in MESSAGE_TYPES.  The OSC
+# codec, trace files and REPL commands all build messages through it, so a
+# value is accepted from one source exactly when it is from the others.
 
 
-def _as_number(value) -> float:
-    if isinstance(value, (int, float)):
+def _name(value) -> str:
+    if not isinstance(value, str) or not value or "\x00" in value:
+        raise ValueError(f"expected a non-empty string without NUL, got {value!r}")
+    value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    return value
+
+
+def _number(hi: float):
+    def check(value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= hi:
+            raise ValueError(f"expected a number in [0, {hi:g}], got {value!r}")
         return float(value)
-    raise ValueError(f"expected numeric argument, got {value!r}")
+    return check
 
 
-def _build_activate(args: list) -> ActivateConcept:
-    if len(args) != 4:
-        raise ValueError("/ams/activate expects (name, kind, level, mode)")
-    name, kind, level, mode = args[0], args[1], _as_number(args[2]), args[3]
-    if not isinstance(name, str) or not name:
-        raise ValueError("concept name must be a non-empty string")
-    if kind not in ("object", "environment"):
-        raise ValueError(f"unknown concept kind {kind!r}")
-    if mode not in ("set", "add"):
-        raise ValueError(f"unknown activation mode {mode!r}")
-    if not 0.0 <= level <= 100.0:
-        raise ValueError(f"activation level {level} outside [0, 100]")
-    return ActivateConcept(name, kind, level, mode)
+def _one_of(*choices: str):
+    def check(value) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
 
 
-def _build_affect(args: list) -> SetAffect:
-    if len(args) != 3:
-        raise ValueError("/ams/affect expects (category, level, mode)")
-    category, level, mode = args[0], _as_number(args[1]), args[2]
-    if not isinstance(category, str) or category.lower() not in AFFECT_CATEGORIES:
-        raise ValueError(f"unknown affect category {category!r}")
-    if mode not in ("set", "add"):
-        raise ValueError(f"unknown activation mode {mode!r}")
-    if not 0.0 <= level <= 100.0:
-        raise ValueError(f"affect level {level} outside [0, 100]")
-    return SetAffect(category.lower(), level, mode)
+def _category(value) -> str:
+    return _one_of(*AFFECT_CATEGORIES)(value.lower() if isinstance(value, str) else value)
 
 
-def _build_edge(args: list) -> SetEdge:
-    if len(args) != 3:
-        raise ValueError("/ams/edge expects (a, b, weight)")
-    a, b, weight = args[0], args[1], _as_number(args[2])
-    if not isinstance(a, str) or not isinstance(b, str) or not a or not b:
-        raise ValueError("edge endpoints must be non-empty strings")
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"edge weight {weight} outside [0, 1]")
-    return SetEdge(a, b, weight)
-
-
-def _build_theme(args: list) -> AssignTheme:
-    if len(args) != 2:
-        raise ValueError("/ams/theme expects (concept, theme_id)")
-    concept, raw_id = args
-    if not isinstance(concept, str) or not concept:
-        raise ValueError("concept name must be a non-empty string")
-    if isinstance(raw_id, str):
+def _theme_id(value) -> int:
+    if isinstance(value, str):
         try:
-            theme_id = int(raw_id)
+            value = int(value)
         except ValueError:
-            raise ValueError(f"theme id {raw_id!r} is not an integer") from None
-    elif isinstance(raw_id, int):
-        theme_id = raw_id
-    else:
-        raise ValueError(f"theme id {raw_id!r} is not an integer")
-    if not 0 <= theme_id < 64:
-        raise ValueError(f"theme id {theme_id} outside [0, 63]")
-    return AssignTheme(concept, theme_id)
+            pass  # rejected below as not an integer
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < THEME_IDS:
+        raise ValueError(f"expected an integer in [0, {THEME_IDS - 1}], got {value!r}")
+    return value
 
 
-_BUILDERS = {
-    "/ams/activate": _build_activate,
-    "/ams/affect": _build_affect,
-    "/ams/edge": _build_edge,
-    "/ams/theme": _build_theme,
-}
+@dataclass(frozen=True)
+class MessageType:
+    """One game message type.  `fields` holds (name, OSC type tag, check)
+    in wire order, the order of the message class's fields; each check
+    returns the validated value or raises ValueError.  Trace lines and REPL
+    commands may omit the fields in `defaults`."""
+
+    name: str  # trace "type" and REPL command
+    address: str
+    cls: type
+    fields: tuple[tuple[str, str, Callable], ...]
+    defaults: dict[str, str] = field(default_factory=dict)
+
+    def build(self, args: list) -> GameMessage:
+        """Validate field values given in wire order."""
+        if len(args) != len(self.fields):
+            raise ValueError(f"expected ({', '.join(name for name, _, _ in self.fields)})")
+        values = []
+        for (name, _tag, check), value in zip(self.fields, args):
+            try:
+                values.append(check(value))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return self.cls(*values)
+
+    def from_fields(self, values: dict) -> GameMessage:
+        """Validate named field values, as a trace line or REPL command gives them."""
+        for name, _, _ in self.fields:
+            if name not in values and name not in self.defaults:
+                raise ValueError(f"{self.name} needs field {name!r}")
+        return self.build([values.get(name, self.defaults.get(name))
+                           for name, _, _ in self.fields])
+
+
+_MODE = ("mode", "s", _one_of("set", "add"))
+MESSAGE_TYPES = {t.name: t for t in (
+    MessageType("activate", "/ams/activate", ActivateConcept,
+                (("name", "s", _name), ("kind", "s", _one_of("object", "environment")),
+                 ("level", "f", _number(100.0)), _MODE),
+                {"kind": "object", "mode": "set"}),
+    MessageType("affect", "/ams/affect", SetAffect,
+                (("category", "s", _category), ("level", "f", _number(100.0)), _MODE),
+                {"mode": "set"}),
+    MessageType("edge", "/ams/edge", SetEdge,
+                (("a", "s", _name), ("b", "s", _name), ("weight", "f", _number(1.0)))),
+    MessageType("theme", "/ams/theme", AssignTheme,
+                (("concept", "s", _name), ("theme_id", "s", _theme_id))),
+)}
+_BY_ADDRESS = {t.address: t for t in MESSAGE_TYPES.values()}
+_BY_CLASS = {t.cls: t for t in MESSAGE_TYPES.values()}
 
 
 def message_to_osc(msg: GameMessage) -> bytes:
     """Encode a typed GameMessage back to its wire form."""
-    if isinstance(msg, ActivateConcept):
-        return encode_message("/ams/activate", [msg.name, msg.kind, float(msg.level), msg.mode])
-    if isinstance(msg, SetAffect):
-        return encode_message("/ams/affect", [msg.category, float(msg.level), msg.mode])
-    if isinstance(msg, SetEdge):
-        return encode_message("/ams/edge", [msg.a, msg.b, float(msg.weight)])
-    if isinstance(msg, AssignTheme):
-        return encode_message("/ams/theme", [msg.concept, str(msg.theme_id)])
-    raise TypeError(f"not a GameMessage: {msg!r}")
+    kind = _BY_CLASS.get(type(msg))
+    if kind is None:
+        raise TypeError(f"not a GameMessage: {msg!r}")
+    return encode_message(kind.address, [float(getattr(msg, name)) if tag == "f"
+                                         else str(getattr(msg, name))
+                                         for name, tag, _ in kind.fields])
 
 
 def decode_packet(data: bytes) -> list[GameMessage]:
     """Decode one UDP datagram (message or bundle) into GameMessages.
 
-    Per-message schema violations are logged and skipped; structural damage
-    raises OscDecodeError.
+    Per-message schema violations are logged and skipped; structural damage,
+    including bundles nested deeper than MAX_BUNDLE_DEPTH, raises
+    OscDecodeError.
     """
-    if not data:
-        return []
-    if data.startswith(b"#bundle\x00"):
-        if len(data) < 16:
-            raise OscDecodeError("truncated bundle header", len(data))
-        offset = 16  # "#bundle\0" + 64-bit timetag
-        messages: list[GameMessage] = []
-        while offset < len(data):
-            if offset + 4 > len(data):
+    messages: list[GameMessage] = []
+    _decode_element(data, 0, len(data), 0, messages)
+    return messages
+
+
+def _decode_element(data: bytes, start: int, end: int, depth: int,
+                    out: list[GameMessage]) -> None:
+    """Decode the element data[start:end] into out, without copying it."""
+    if start == end:
+        return
+    if data.startswith(b"#bundle\x00", start, end):
+        if depth == MAX_BUNDLE_DEPTH:
+            raise OscDecodeError(f"bundles nested deeper than {MAX_BUNDLE_DEPTH}", start)
+        offset = start + 16  # "#bundle\0" + 64-bit timetag
+        if offset > end:
+            raise OscDecodeError("truncated bundle header", end)
+        while offset < end:
+            if offset + 4 > end:
                 raise OscDecodeError("truncated bundle element size", offset)
             (size,) = struct.unpack_from(">i", data, offset)
             offset += 4
-            if size < 0 or offset + size > len(data):
+            if size < 0 or offset + size > end:
                 raise OscDecodeError("bundle element overruns datagram", offset)
-            messages.extend(decode_packet(data[offset : offset + size]))
+            _decode_element(data, offset, offset + size, depth + 1, out)
             offset += size
-        return messages
+        return
 
-    address, args = _parse_message(data)
-    builder = _BUILDERS.get(address)
-    if builder is None:
+    address, args = _parse_message(data, start, end)
+    kind = _BY_ADDRESS.get(address)
+    if kind is None:
         log.warning("skipping message with unknown OSC address %r", address)
-        return []
+        return
     try:
-        return [builder(args)]
+        out.append(kind.build(args))
     except ValueError as exc:
         log.warning("rejecting %s message: %s", address, exc)
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +366,8 @@ class OscServer:
                 self.queue.put_many(decode_packet(data))
             except OscDecodeError as exc:
                 log.warning("dropping malformed datagram: %s", exc)
+            except Exception:  # the receiver must outlive any one datagram
+                log.exception("dropping datagram that failed to decode")
 
     def close(self) -> None:
         self._stop.set()

@@ -7,10 +7,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-TICKS_PER_QUARTER = 480
-MEASURE_TICKS = 4 * TICKS_PER_QUARTER
-PHRASE_TICKS = 2 * MEASURE_TICKS
-CELL_TICKS = TICKS_PER_QUARTER // 4
+from .render import BLOCK_MEASURES, BLOCK_TICKS, MEASURE_TICKS, TICKS_PER_CELL
+from .render import TICKS_PER_QUARTER as Q
 
 LANES = ("kick", "snare", "hat", "aux")
 
@@ -21,14 +19,14 @@ ORNAMENT_PROB = 0.1
 
 _TEMPLATES = {
     # per-measure (lane, onset_ticks, velocity) hits
-    "rock": [("snare", 480, 110), ("snare", 1440, 110)]
-            + [("hat", t, 80) for t in range(0, MEASURE_TICKS, 240)],
-    "pop": [("snare", 480, 105), ("snare", 1440, 105)]
-           + [("hat", t, 75) for t in range(0, MEASURE_TICKS, 240)],
+    "rock": [("snare", Q, 110), ("snare", 3 * Q, 110)]
+            + [("hat", t, 80) for t in range(0, MEASURE_TICKS, Q // 2)],
+    "pop": [("snare", Q, 105), ("snare", 3 * Q, 105)]
+           + [("hat", t, 75) for t in range(0, MEASURE_TICKS, Q // 2)],
     # swung ride: beats 1..4 with pickups before 2 and 4
-    "jazz": [("hat", 0, 90), ("hat", 480, 80), ("hat", 840, 70),
-             ("hat", 960, 90), ("hat", 1440, 80), ("hat", 1800, 70)],
-    "folk": [("aux", 0, 90), ("aux", 960, 80)],
+    "jazz": [("hat", 0, 90), ("hat", Q, 80), ("hat", 7 * Q // 4, 70),
+             ("hat", 2 * Q, 90), ("hat", 3 * Q, 80), ("hat", 15 * Q // 4, 70)],
+    "folk": [("aux", 0, 90), ("aux", 2 * Q, 80)],
 }
 
 
@@ -56,16 +54,16 @@ def generate_percussion(lowest_line_onsets: list[int], style: str,
         raise PercussionError(f"unknown style {style!r}")
     phrase = PercussionPhrase()
     for onset in lowest_line_onsets:
-        if not 0 <= onset < PHRASE_TICKS:
+        if not 0 <= onset < BLOCK_TICKS:
             raise PercussionError(f"onset {onset} outside the two-measure window")
         phrase.lanes["kick"].append((onset, 100))
-    for measure in range(2):
+    for measure in range(BLOCK_MEASURES):
         base = measure * MEASURE_TICKS
         for lane, onset, velocity in _TEMPLATES[style]:
             phrase.lanes[lane].append((base + onset, velocity))
     if rng.random() < ORNAMENT_PROB:
-        cell = rng.randrange(PHRASE_TICKS // CELL_TICKS)
-        phrase.lanes["hat"].append((cell * CELL_TICKS, 60))
+        cell = rng.randrange(BLOCK_TICKS // TICKS_PER_CELL)
+        phrase.lanes["hat"].append((cell * TICKS_PER_CELL, 60))
     for lane in LANES:
         phrase.lanes[lane].sort()
     return phrase

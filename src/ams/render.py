@@ -7,7 +7,14 @@ import struct
 import time
 from dataclasses import dataclass, field
 
-TICKS_PER_QUARTER = 480
+# The time grid, fixed at 4/4: every module takes these from here.
+TICKS_PER_QUARTER = 480  # SMF division
+BEATS_PER_MEASURE = 4
+MEASURE_TICKS = BEATS_PER_MEASURE * TICKS_PER_QUARTER
+TICKS_PER_CELL = TICKS_PER_QUARTER // 4  # sixteenth-note cells
+BLOCK_MEASURES = 2  # one composition cycle and one percussion phrase
+BLOCK_TICKS = BLOCK_MEASURES * MEASURE_TICKS
+
 PERCUSSION_CHANNEL = 9  # MIDI channel 10, zero-based
 
 
@@ -85,7 +92,7 @@ def _note_track(track: Track) -> bytes:
 
 
 def score_to_midi_bytes(score: Score) -> bytes:
-    """Serialize as SMF type 1, 480 ticks per quarter, tempo track first."""
+    """Serialize as SMF type 1, TICKS_PER_QUARTER division, tempo track first."""
     chunks = [_meta_track(score.tempo_bpm)]
     chunks.extend(_note_track(t) for t in score.tracks)
     header = struct.pack(">HHH", 1, len(chunks), TICKS_PER_QUARTER)

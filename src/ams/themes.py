@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .chord_model import PITCH_CLASS_NAMES, _ROOTS
 from .melody import Key, MelodicFragment, Note
+from .osc_gateway import THEME_IDS
 
 
 class ThemeError(ValueError):
@@ -55,8 +56,8 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
         if required not in fields:
             raise ThemeError(f"{source}: missing field {required!r}")
     theme_id = int(fields["theme_id"])
-    if not 0 <= theme_id < 64:
-        raise ThemeError(f"{source}: theme id {theme_id} outside 0..63")
+    if not 0 <= theme_id < THEME_IDS:
+        raise ThemeError(f"{source}: theme id {theme_id} outside 0..{THEME_IDS - 1}")
     tonic_name, _, mode = fields["key"].partition(" ")
     if tonic_name not in _ROOTS or mode not in ("major", "minor"):
         raise ThemeError(f"{source}: bad key {fields['key']!r}")
@@ -91,9 +92,8 @@ class ThemeLibrary:
         return self.themes[theme_id]
 
     def add(self, fragment: MelodicFragment) -> int | None:
-        """Store an evolved theme under the next free id, or None if all 64
-        ids are taken."""
-        for theme_id in range(64):
+        """Store an evolved theme under the next free id, or None if none is free."""
+        for theme_id in range(THEME_IDS):
             if theme_id not in self.themes:
                 self.themes[theme_id] = fragment
                 return theme_id

@@ -1,8 +1,11 @@
 """Command line interface: trace parsing, subcommands, exit codes."""
 
+import builtins
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ams.chord_model import ChordSequenceModel
 from ams.cli import (
@@ -15,7 +18,14 @@ from ams.cli import (
     trace_feed,
 )
 from ams.config import ASSET_ROOT
-from ams.osc_gateway import ActivateConcept, SetAffect
+from ams.osc_gateway import (
+    AFFECT_CATEGORIES,
+    MESSAGE_TYPES,
+    ActivateConcept,
+    SetAffect,
+    decode_packet,
+    message_to_osc,
+)
 from ams.render import read_midi_bytes
 
 TRACE = """\
@@ -37,8 +47,8 @@ def test_parse_trace_types():
 
 
 def test_parse_trace_rejects_backwards_time():
-    bad = '{"t_ms": 100, "type": "affect", "category": "fear", "level": 1}\n' \
-          '{"t_ms": 50, "type": "affect", "category": "fear", "level": 1}\n'
+    bad = '{"t_ms": 100, "type": "affect", "category": "threat", "level": 1}\n' \
+          '{"t_ms": 50, "type": "affect", "category": "threat", "level": 1}\n'
     with pytest.raises(TraceError, match=":2: t_ms 50 goes backwards"):
         parse_trace(bad)
 
@@ -51,6 +61,53 @@ def test_parse_trace_reports_line_of_bad_json():
 def test_parse_trace_unknown_type():
     with pytest.raises(TraceError, match="unknown event type"):
         parse_trace('{"t_ms": 0, "type": "explode"}\n')
+
+
+@pytest.mark.parametrize("event", [
+    '"type": "activate", "name": "sword", "kind": "weapon", "level": 50',
+    '"type": "activate", "name": "sword", "level": 50, "mode": "boost"',
+    '"type": "affect", "category": "threat", "level": 500',
+    '"type": "theme", "concept": "sword", "theme_id": 999',
+    '"type": "edge", "a": "sword", "level": 0.5',
+], ids=["kind", "mode", "level", "theme_id", "missing_field"])
+def test_parse_trace_rejects_what_osc_rejects(event):
+    with pytest.raises(TraceError, match=r"^t\.jsonl:2: "):
+        parse_trace('{"t_ms": 0, "type": "affect", "category": "threat", "level": 1}\n'
+                    f'{{"t_ms": 1, {event}}}\n', "t.jsonl")
+
+
+def test_parse_trace_defaults_kind_and_mode():
+    (_, msg), = parse_trace('{"t_ms": 0, "type": "activate", "name": "sword", "level": 5}\n')
+    assert msg == ActivateConcept("sword", "object", 5.0, "set")
+
+
+# any JSON value a trace line may carry; floats at OSC's 32-bit width so that
+# an accepted value survives the wire unchanged
+TRACE_VALUES = (st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+                | st.floats(width=32) | st.integers(0, 120)
+                | st.sampled_from(("object", "environment", "weapon", "set", "add", "boost",
+                                   "", "7", "99", "THREAT") + AFFECT_CATEGORIES)
+                | st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def trace_events(draw):
+    kind = draw(st.sampled_from(sorted(MESSAGE_TYPES)))
+    event = {"t_ms": 0, "type": kind}
+    for name, _, _ in MESSAGE_TYPES[kind].fields:
+        if draw(st.integers(0, 9)):  # now and then leave a field out
+            event[name] = draw(TRACE_VALUES)
+    return event
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_events())
+def test_trace_accepts_exactly_what_osc_accepts(event):
+    try:
+        (_, msg), = parse_trace(json.dumps(event))
+    except TraceError:
+        return
+    assert decode_packet(message_to_osc(msg)) == [msg]
 
 
 def test_parse_trace_empty():
@@ -124,8 +181,8 @@ def test_replay_is_deterministic(tmp_path):
 
 def test_replay_bad_trace_exits_runtime(tmp_path, capsys):
     trace = tmp_path / "bad.jsonl"
-    trace.write_text('{"t_ms": 5, "type": "affect", "category": "fear", "level": 1}\n'
-                     '{"t_ms": 1, "type": "affect", "category": "fear", "level": 1}\n')
+    trace.write_text('{"t_ms": 5, "type": "affect", "category": "threat", "level": 1}\n'
+                     '{"t_ms": 1, "type": "affect", "category": "threat", "level": 1}\n')
     assert main(["replay", str(trace)]) == EXIT_RUNTIME
     assert "goes backwards" in capsys.readouterr().err
 
@@ -153,6 +210,18 @@ def test_train_chords_writes_model(tmp_path, capsys):
 def test_train_chords_bad_corpus_spec(tmp_path, capsys):
     assert main(["train-chords", "nostyle.chords", "--out",
                  str(tmp_path / "m.bin")]) == EXIT_RUNTIME
+
+
+def test_repl_messages_obey_osc_schema(monkeypatch, capsys):
+    lines = iter(["activate torch 500", "activate torch 60 weapon", "affect fear 50",
+                  "theme torch 999", "edge torch", "activate torch 60 environment add",
+                  "affect THREAT 40", "graph", "quit"])
+    monkeypatch.setattr(builtins, "input", lambda _prompt: next(lines))
+    assert main(["repl"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("error:") == 5
+    assert "vertex torch kind=environment act=60.000000" in out
+    assert "vertex threat kind=affect act=40.000000" in out
 
 
 def test_usage_error_for_unknown_command():

@@ -39,6 +39,13 @@ def test_unknown_key_rejected_with_line():
         parse_config_text("engine.seed = 1\nengine.nope = 2\n")
 
 
+def test_time_grid_is_not_configurable():
+    # the grid is fixed at 4/4; at 3/4 percussion overran the block
+    with pytest.raises(ConfigError, match="unknown config key 'engine.beats_per_measure'"):
+        parse_config_text("engine.beats_per_measure = 3\n")
+    assert EngineConfig.beats_per_measure == 4
+
+
 def test_bad_value_reports_key():
     with pytest.raises(ConfigError, match="engine.tempo_bpm"):
         parse_config_text("engine.tempo_bpm = fast\n")

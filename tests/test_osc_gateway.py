@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ams.osc_gateway
 from ams.osc_gateway import (
     ActivateConcept,
     AssignTheme,
@@ -87,6 +88,28 @@ def test_truncated_arguments_raise():
         decode_packet(packet[:-2])
 
 
+def _nested_bundles() -> bytes:
+    """A 65,000-byte datagram: one message inside 3,248 nested bundles."""
+    packet = message_to_osc(SetAffect("tenderness", 1.0, "set"))
+    for _ in range(3248):
+        packet = encode_bundle([packet])
+    assert len(packet) == 65000
+    return packet
+
+
+def test_deep_bundle_nesting_is_rejected():
+    with pytest.raises(OscDecodeError, match="nested deeper"):
+        decode_packet(_nested_bundles())
+
+
+def test_structural_error_offset_is_absolute():
+    packet = message_to_osc(SetEdge("a", "b", 0.5))
+    bundle = encode_bundle([packet[:-2]])
+    with pytest.raises(OscDecodeError) as err:
+        decode_packet(bundle)
+    assert err.value.offset == 20 + len(packet) - 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.binary(min_size=0, max_size=64))
 def test_decoder_never_crashes(blob):
@@ -119,17 +142,42 @@ def test_queue_drops_oldest():
     assert len(q) == 0
 
 
-def test_server_receives_datagrams():
+def _send_and_receive(datagrams: list[bytes]) -> list:
+    """Send datagrams to a live server; return what it queued within 2 s."""
     q = MessageQueue()
     server = OscServer(q, port=0)
     server.start()
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.sendto(message_to_osc(MESSAGES[0]), ("127.0.0.1", server.port))
+        for datagram in datagrams:
+            sock.sendto(datagram, ("127.0.0.1", server.port))
         sock.close()
         deadline = time.time() + 2.0
         while len(q) == 0 and time.time() < deadline:
             time.sleep(0.01)
-        assert q.drain() == [MESSAGES[0]]
+        return q.drain()
     finally:
         server.close()
+
+
+def test_server_receives_datagrams():
+    assert _send_and_receive([message_to_osc(MESSAGES[0])]) == [MESSAGES[0]]
+
+
+def test_server_survives_hostile_datagram():
+    assert _send_and_receive([_nested_bundles(), message_to_osc(MESSAGES[0])]) == [MESSAGES[0]]
+
+
+def test_server_survives_decoder_failure(monkeypatch):
+    decode = ams.osc_gateway.decode_packet
+    calls = []
+
+    def failing_once(data):
+        calls.append(data)
+        if len(calls) == 1:
+            raise RuntimeError("decoder bug")
+        return decode(data)
+
+    monkeypatch.setattr(ams.osc_gateway, "decode_packet", failing_once)
+    packet = message_to_osc(MESSAGES[0])
+    assert _send_and_receive([packet, packet]) == [MESSAGES[0]]
