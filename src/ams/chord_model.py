@@ -5,6 +5,12 @@ order-k count model with stupid backoff ranks candidate next chords, and
 the (normalized) probability of the returned chord doubles as the harmony
 agent's confidence.  The predictor is a small interface so a learned model
 can be dropped in without touching callers.
+
+A model is read-only once `train` or `load` has built it.  It ranks each
+distinct context once: the chord-only count tables of a context's
+suffixes and the context's ranked distribution are filled in on first
+use and reused by every later query, so a composition cycle, which asks
+for the same few contexts again and again, does not re-rank them.
 """
 
 from __future__ import annotations
@@ -91,6 +97,7 @@ def parse_chord(token: str) -> ChordSymbol:
 
 
 Token = ChordSymbol | str  # style tokens ride along as plain strings
+ChordTable = tuple[dict[ChordSymbol, int], int]  # chord successor counts, their total
 
 
 def ingest_corpus(text: str, style: str) -> list[Token]:
@@ -139,11 +146,27 @@ def _token_from_key(key: str) -> Token:
 
 @dataclass
 class ChordSequenceModel:
-    """Order-k count model with stupid backoff over chords and style tokens."""
+    """Order-k count model with stupid backoff over chords and style tokens.
+
+    `train` and `load` build a model; after that it is read-only.  The
+    chord-only count table of each context and the ranked distribution of
+    each context truncated to `order` tokens are computed the first time a
+    query needs them and kept on the model, so a later change to `counts`
+    or `vocabulary` would leave stale rankings behind.  The runtime context
+    is history chords interleaved with the style token, so how many
+    rankings a session keeps is bounded by the vocabulary and the styles,
+    not by the session's length.
+    """
 
     order: int
     counts: dict[tuple[Token, ...], dict[Token, int]] = field(default_factory=dict)
     vocabulary: list[Token] = field(default_factory=list)
+    # context -> its chord table, None without chord successors
+    _chord_tables: dict[tuple[Token, ...], ChordTable | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # truncated context -> ranked (chord, probability) pairs
+    _rankings: dict[tuple[Token, ...], tuple[tuple[ChordSymbol, float], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chord_vocabulary(self) -> list[ChordSymbol]:
@@ -151,52 +174,60 @@ class ChordSequenceModel:
 
     # -- scoring ------------------------------------------------------------
 
-    def _chord_counts(self, context: tuple[Token, ...]) -> dict[ChordSymbol, int] | None:
-        table = self.counts.get(context)
-        if not table:
-            return None
-        chords = {t: n for t, n in table.items() if isinstance(t, ChordSymbol)}
-        return chords or None
+    def _chord_table(self, context: tuple[Token, ...]) -> ChordTable | None:
+        if context not in self._chord_tables:
+            table = self.counts.get(context) or {}
+            chords = {t: n for t, n in table.items() if isinstance(t, ChordSymbol)}
+            self._chord_tables[context] = (chords, sum(chords.values())) if chords else None
+        return self._chord_tables[context]
 
-    def _score(self, token: Token, context: tuple[Token, ...]) -> float:
-        """Stupid-backoff score, used to order the zero-probability tail."""
-        chords = self._chord_counts(context)
-        if chords:
-            count = chords.get(token, 0)
-            if count > 0:
-                return count / sum(chords.values())
-        if not context:
-            return 0.0
-        return BACKOFF_FACTOR * self._score(token, context[1:])
+    @staticmethod
+    def _backoff_score(token: ChordSymbol, tables: list[ChordTable | None]) -> float:
+        """Stupid-backoff score from the chord tables of a context's suffixes,
+        longest first; orders the zero-probability tail."""
+        for depth, table in enumerate(tables):
+            if table is not None:
+                count = table[0].get(token, 0)
+                if count > 0:
+                    score = count / table[1]
+                    # one factor per backoff step, innermost first, as
+                    # 0.4 * (0.4 * p) rounds differently from 0.16 * p
+                    for _ in range(depth):
+                        score = BACKOFF_FACTOR * score
+                    return score
+        return 0.0
 
-    def distribution(self, context: tuple[Token, ...]) -> list[tuple[ChordSymbol, float]]:
-        """Probabilities over the chord vocabulary for a context.
-
-        Probability mass comes from the longest context suffix with observed
-        chord successors; fully unseen contexts back off to shorter ones,
-        ultimately the unigram table.  Chords unseen at that context get
-        probability 0 and are ordered among themselves by stupid-backoff
-        score, then dictionary order.
-        """
-        context = tuple(context)[-self.order:]
-        chords = None
-        ctx = context
-        while True:
-            chords = self._chord_counts(ctx)
-            if chords is not None or not ctx:
-                break
-            ctx = ctx[1:]
+    def _rank(self, context: tuple[Token, ...]) -> tuple[tuple[ChordSymbol, float], ...]:
+        """The ranked distribution of a truncated context (see `distribution`)."""
+        tables = [self._chord_table(context[i:]) for i in range(len(context) + 1)]
+        table = next((t for t in tables if t is not None), None)
         symbols = self.chord_vocabulary
-        if chords:
-            total = sum(chords.values())
+        if table is not None:
+            chords, total = table
             probs = {sym: chords.get(sym, 0) / total for sym in symbols}
         else:
             probs = {sym: 1.0 / len(symbols) for sym in symbols}
         ranked = sorted(
             symbols,
-            key=lambda sym: (-probs[sym], -self._score(sym, context), sym),
+            key=lambda sym: (-probs[sym], -self._backoff_score(sym, tables), sym),
         )
-        return [(sym, probs[sym]) for sym in ranked]
+        return tuple((sym, probs[sym]) for sym in ranked)
+
+    def distribution(self, context: tuple[Token, ...]) -> list[tuple[ChordSymbol, float]]:
+        """Probabilities over the chord vocabulary for a context, as a new list.
+
+        Only the last `order` tokens of the context count.  Probability
+        mass comes from the longest context suffix with observed chord
+        successors; fully unseen contexts back off to shorter ones,
+        ultimately the unigram table.  Chords unseen at that context get
+        probability 0 and are ordered among themselves by stupid-backoff
+        score, then dictionary order.
+        """
+        context = tuple(context)[-self.order:]
+        ranked = self._rankings.get(context)
+        if ranked is None:
+            ranked = self._rankings[context] = self._rank(context)
+        return list(ranked)
 
     def next_chord(self, history: list[Token], style: str,
                    rank: int = 1) -> tuple[ChordSymbol, float]:
@@ -278,9 +309,8 @@ def train(tokens: list[Token], order: int = 3) -> ChordSequenceModel:
         for length in range(0, order + 1):
             if i - length < 0:
                 break
-            context = tuple(tokens[i - length : i])
-            model.counts.setdefault(context, {})
-            model.counts[context][token] = model.counts[context].get(token, 0) + 1
+            table = model.counts.setdefault(tuple(tokens[i - length : i]), {})
+            table[token] = table.get(token, 0) + 1
     return model
 
 

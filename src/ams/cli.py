@@ -16,6 +16,7 @@ from .chord_model import (
     ChordError,
     ChordSequenceModel,
     STYLES,
+    Token,
     ingest_corpus,
     perplexity,
     train,
@@ -91,14 +92,19 @@ def trace_feed(events: list[tuple[int, GameMessage]]):
 # engine bootstrap
 
 
-def load_chord_model(config: EngineConfig) -> ChordSequenceModel:
-    if config.chord_model_path is not None:
-        return ChordSequenceModel.load(config.chord_model_path)
-    tokens = []
+def bundled_corpus() -> list[Token]:
+    """The bundled chord corpora, one per style, as one token stream."""
+    tokens: list[Token] = []
     for style in STYLES:
         path = ASSET_ROOT / "corpora" / f"{style}.chords"
         tokens.extend(ingest_corpus(path.read_text(), style))
-    return train(tokens, order=config.chord_order)
+    return tokens
+
+
+def load_chord_model(config: EngineConfig) -> ChordSequenceModel:
+    if config.chord_model_path is not None:
+        return ChordSequenceModel.load(config.chord_model_path)
+    return train(bundled_corpus(), order=config.chord_order)
 
 
 def build_engine(config: EngineConfig) -> Engine:
@@ -166,8 +172,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_train_chords(args) -> int:
-    tokens = []
     if args.corpus:
+        tokens = []
         for spec in args.corpus:
             style, sep, path = spec.partition(":")
             if not sep or style not in STYLES:
@@ -175,9 +181,7 @@ def cmd_train_chords(args) -> int:
                     f"corpus must be style:path with style in {STYLES}, got {spec!r}")
             tokens.extend(ingest_corpus(Path(path).read_text(), style))
     else:
-        for style in STYLES:
-            path = ASSET_ROOT / "corpora" / f"{style}.chords"
-            tokens.extend(ingest_corpus(path.read_text(), style))
+        tokens = bundled_corpus()
     model = train(tokens, order=args.order)
     model.save(args.out)
     held_out = perplexity(model, tokens)

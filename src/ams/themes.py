@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .chord_model import PITCH_CLASS_NAMES, _ROOTS
-from .melody import Key, MelodicFragment, Note
+from .melody import Key, MelodicFragment, MelodyError, Note
 from .osc_gateway import THEME_IDS
 
 
@@ -34,7 +34,9 @@ def serialize_theme(theme_id: int, fragment: MelodicFragment) -> str:
 
 
 def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragment]:
-    fields: dict[str, str] = {}
+    """Parse one theme file; any malformed field is a ThemeError naming
+    `source` and the line."""
+    fields: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     notes: list[Note] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -48,22 +50,37 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
             parts = value.split()
             if len(parts) != 4:
                 raise ThemeError(f"{source}:{lineno}: note needs pitch onset duration velocity")
-            pitch, onset, duration, velocity = (int(p) for p in parts)
-            notes.append(Note(pitch, onset, duration, velocity))
+            try:
+                notes.append(Note(*(int(p) for p in parts)))
+            except ValueError as exc:  # int() or a MelodyError from Note
+                raise ThemeError(f"{source}:{lineno}: bad note {value!r}: {exc}") from None
         else:
-            fields[key] = value
+            fields[key] = (lineno, value)
     for required in ("theme_id", "key", "length_measures"):
         if required not in fields:
             raise ThemeError(f"{source}: missing field {required!r}")
-    theme_id = int(fields["theme_id"])
+
+    def integer(name: str) -> tuple[int, int]:
+        lineno, value = fields[name]
+        try:
+            return lineno, int(value)
+        except ValueError:
+            raise ThemeError(
+                f"{source}:{lineno}: {name} must be an integer, got {value!r}") from None
+
+    lineno, theme_id = integer("theme_id")
     if not 0 <= theme_id < THEME_IDS:
-        raise ThemeError(f"{source}: theme id {theme_id} outside 0..{THEME_IDS - 1}")
-    tonic_name, _, mode = fields["key"].partition(" ")
+        raise ThemeError(f"{source}:{lineno}: theme id {theme_id} outside 0..{THEME_IDS - 1}")
+    lineno, key = fields["key"]
+    tonic_name, _, mode = key.partition(" ")
     if tonic_name not in _ROOTS or mode not in ("major", "minor"):
-        raise ThemeError(f"{source}: bad key {fields['key']!r}")
+        raise ThemeError(f"{source}:{lineno}: bad key {key!r}")
+    lineno, length = integer("length_measures")
     notes.sort(key=lambda n: (n.onset, n.pitch))
-    fragment = MelodicFragment(tuple(notes), int(fields["length_measures"]),
-                               Key(_ROOTS[tonic_name], mode))
+    try:
+        fragment = MelodicFragment(tuple(notes), length, Key(_ROOTS[tonic_name], mode))
+    except MelodyError as exc:  # notes are sorted, so only the length can fail
+        raise ThemeError(f"{source}:{lineno}: {exc}") from None
     return theme_id, fragment
 
 

@@ -1,10 +1,16 @@
 """Next-chord model: tokenization, ranking, confidence, persistence."""
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ams.chord_model import (
+    BACKOFF_FACTOR,
+    QUALITIES,
+    STYLES,
     ChordError,
     ChordSequenceModel,
     ChordSymbol,
@@ -13,6 +19,77 @@ from ams.chord_model import (
     perplexity,
     train,
 )
+from ams.cli import bundled_corpus, load_chord_model
+from ams.config import EngineConfig
+
+ALL_CHORDS = [ChordSymbol(root, quality) for root in range(12) for quality in QUALITIES]
+
+
+# -- reference ranking: the recursive stupid-backoff path the model's
+# per-context tables replaced; the model must agree with it exactly
+
+
+def reference_chord_counts(model, context):
+    table = model.counts.get(context)
+    if not table:
+        return None
+    chords = {t: n for t, n in table.items() if isinstance(t, ChordSymbol)}
+    return chords or None
+
+
+def reference_score(model, token, context):
+    chords = reference_chord_counts(model, context)
+    if chords:
+        count = chords.get(token, 0)
+        if count > 0:
+            return count / sum(chords.values())
+    if not context:
+        return 0.0
+    return BACKOFF_FACTOR * reference_score(model, token, context[1:])
+
+
+def reference_distribution(model, context):
+    context = tuple(context)[-model.order:]
+    chords = None
+    ctx = context
+    while True:
+        chords = reference_chord_counts(model, ctx)
+        if chords is not None or not ctx:
+            break
+        ctx = ctx[1:]
+    symbols = model.chord_vocabulary
+    if chords:
+        total = sum(chords.values())
+        probs = {sym: chords.get(sym, 0) / total for sym in symbols}
+    else:
+        probs = {sym: 1.0 / len(symbols) for sym in symbols}
+    ranked = sorted(
+        symbols,
+        key=lambda sym: (-probs[sym], -reference_score(model, sym, context), sym),
+    )
+    return [(sym, probs[sym]) for sym in ranked]
+
+
+@functools.cache
+def bundled_model():
+    return load_chord_model(EngineConfig())
+
+
+def contexts(model):
+    """Contexts of length 0..order+2 over the model's chords, the style
+    tokens and chords the model never saw."""
+    seen = [t for t in model.vocabulary if isinstance(t, ChordSymbol)]
+    sources = [st.sampled_from(STYLES),
+               st.sampled_from([c for c in ALL_CHORDS if c not in seen])]
+    if seen:
+        sources.append(st.sampled_from(seen))
+    return st.lists(st.one_of(sources), max_size=model.order + 2).map(tuple)
+
+
+# a small chord pool, so that trained models share successors and tie often
+SMALL_POOL = [parse_chord(name) for name in ("C", "G", "Am", "F", "Dm7", "E7")]
+small_streams = st.lists(st.one_of(st.sampled_from(SMALL_POOL), st.sampled_from(STYLES)),
+                         min_size=1, max_size=40)
 
 
 def test_parse_chord_symbols():
@@ -126,3 +203,53 @@ def test_perplexity_lower_on_training_data():
     shuffled = ingest_corpus("\n".join(["Cmaj7 | Dm7 | G7 | Dm7"] * 10), "jazz")
     assert on_train < perplexity(model, shuffled)
     assert math.isfinite(on_train)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distribution_matches_reference_on_bundled_model(data):
+    model = bundled_model()
+    context = data.draw(contexts(model))
+    expected = reference_distribution(model, context)
+    assert model.distribution(context) == expected
+    assert model.distribution(context) == expected  # kept ranking
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=small_streams, order=st.integers(1, 3), data=st.data())
+def test_distribution_matches_reference_on_small_models(tokens, order, data):
+    model = train(tokens, order=order)
+    for context in data.draw(st.lists(contexts(model), min_size=1, max_size=5)):
+        assert model.distribution(context) == reference_distribution(model, context)
+
+
+def test_backoff_keeps_the_recursive_float_order():
+    # 0.4 * (0.4 * 5/8) and 0.4 * 1/4 are both 0.1, so D and E tie and
+    # keep dictionary order; 0.4 ** 2 * 5/8 rounds above 0.1 and would
+    # put E first
+    c, d, e, f = (parse_chord(name) for name in "CDEF")
+    model = ChordSequenceModel(order=2, vocabulary=[c, d, e, f, "pop"], counts={
+        (): {e: 5, c: 3}, ("pop",): {d: 1, c: 3}, (c, "pop"): {c: 1}})
+    expected = [(c, 1.0), (d, 0.0), (e, 0.0), (f, 0.0)]
+    assert reference_distribution(model, (c, "pop")) == expected
+    assert model.distribution((c, "pop")) == expected
+
+
+def test_perplexity_matches_reference(monkeypatch):
+    tokens = bundled_corpus()
+    fast = perplexity(train(tokens, order=3), tokens)
+    monkeypatch.setattr(ChordSequenceModel, "distribution", reference_distribution)
+    assert fast == perplexity(train(tokens, order=3), tokens)
+
+
+def test_returned_ranking_cannot_corrupt_the_model():
+    model = train(ingest_corpus("\n".join(["C | G"] * 6 + ["C | F"] * 2), "pop"), order=3)
+    context = (parse_chord("C"), "pop")
+    first = model.distribution(context)
+    expected = list(first)
+    first.reverse()
+    first[0] = (parse_chord("F"), 1.0)
+    first.append((parse_chord("Am"), 0.5))
+    assert model.distribution(context) == expected
+    chord, confidence = model.next_chord([parse_chord("C")], "pop", 1)
+    assert (chord, confidence) == expected[0]

@@ -13,11 +13,12 @@ from ams.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     TraceError,
+    load_chord_model,
     main,
     parse_trace,
     trace_feed,
 )
-from ams.config import ASSET_ROOT
+from ams.config import ASSET_ROOT, EngineConfig
 from ams.osc_gateway import (
     AFFECT_CATEGORIES,
     MESSAGE_TYPES,
@@ -199,12 +200,34 @@ def test_replay_bad_config_exits_usage(tmp_path, capsys):
     assert main(["replay", str(trace), "--config", str(bad)]) == EXIT_USAGE
 
 
+def test_replay_bad_theme_file_exits_runtime(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    themes = tmp_path / "themes"
+    themes.mkdir()
+    (themes / "bad.theme").write_text("theme_id: x\nkey: C major\nlength_measures: 1\n")
+    config = tmp_path / "themes.cfg"
+    config.write_text("engine.theme_dir = themes\n")
+    assert main(["replay", str(trace), "--config", str(config)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {themes / 'bad.theme'}:1: theme_id must be an integer")
+
+
 def test_train_chords_writes_model(tmp_path, capsys):
     out = tmp_path / "model.bin"
     assert main(["train-chords", "--order", "2", "--out", str(out)]) == EXIT_OK
     assert "trained order-2 model" in capsys.readouterr().out
     model = ChordSequenceModel.load(out)
     assert model.order == 2
+
+
+def test_train_chords_defaults_to_bundled_corpora(tmp_path, capsys):
+    out = tmp_path / "m.bin"
+    assert main(["train-chords", "--out", str(out)]) == EXIT_OK
+    trained = ChordSequenceModel.load(out)
+    bundled = load_chord_model(EngineConfig())
+    assert trained.counts == bundled.counts
+    assert trained.vocabulary == bundled.vocabulary
 
 
 def test_train_chords_bad_corpus_spec(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Engine loop: cycle records, determinism, theme evolution, timing."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from ams.cli import build_engine
-from ams.config import EngineConfig
+from ams.chord_model import ChordSequenceModel
+from ams.cli import build_engine, parse_trace, trace_feed
+from ams.config import ASSET_ROOT, EngineConfig, load_config
 from ams.osc_gateway import ActivateConcept, AssignTheme, SetAffect, SetEdge
 from ams.render import score_to_midi_bytes
 
@@ -144,3 +146,21 @@ def test_score_has_melody_and_percussion_tracks(ran_engine):
         "melody-1", "melody-2", "melody-3", "percussion"]
     assert score.tracks[-1].channel == 9
     assert any(t.notes for t in score.tracks)
+
+
+def test_replay_ranks_each_chord_context_once(monkeypatch):
+    ranked = Counter()
+    rank = ChordSequenceModel._rank
+
+    def counting_rank(model, context):
+        ranked[context] += 1
+        return rank(model, context)
+
+    monkeypatch.setattr(ChordSequenceModel, "_rank", counting_rank)
+    engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
+    events = parse_trace((ASSET_ROOT / "traces" / "mixed_session.jsonl").read_text())
+    engine.run(events[-1][0] + int(2 * engine.block_ms),
+               message_feed=trace_feed(events), clock=None)
+    # each cycle asks for at least two rankings, so contexts repeat
+    assert 0 < len(ranked) < 2 * engine.cycle_index
+    assert set(ranked.values()) == {1}

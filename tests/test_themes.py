@@ -61,6 +61,18 @@ def test_bad_key_rejected():
         parse_theme(SAMPLE.replace("C major", "H mixolydian"))
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("theme_id: 3", "theme_id: x", 1, "theme_id must be an integer"),
+    ("length_measures: 2", "length_measures: two", 3, "length_measures must be an integer"),
+    ("length_measures: 2", "length_measures: 5", 3, "outside 1..4 measures"),
+    ("note: 60 0 480 96", "note: 67 zero 960 78", 4, "bad note"),
+    ("note: 62 480 480 96", "note: 200 480 480 96", 5, "pitch 200 outside 0..127"),
+])
+def test_bad_field_names_file_and_line(old, new, line, message):
+    with pytest.raises(ThemeError, match=f"^bad.theme:{line}: .*{message}"):
+        parse_theme(SAMPLE.replace(old, new), source="bad.theme")
+
+
 def test_bundled_library_has_eight_demo_themes():
     library = ThemeLibrary.load_dir(ASSET_ROOT / "themes")
     assert sorted(library.themes) == list(range(8))
