@@ -16,8 +16,9 @@ from .harmonic_context import ResourceMatrix
 from .melody import (
     Abstention,
     MelodyAgent,
+    Note,
     OPERATOR_NAMES,
-    OperatorError,
+    Proposal,
     RangeConstraint,
     apply_operator,
     evolve_theme,
@@ -103,7 +104,7 @@ class Engine:
         for msg in self.queue.drain():
             try:
                 self.graph.apply_message(msg)
-            except (GraphError, KeyError) as exc:
+            except GraphError as exc:
                 log.warning("rejecting message %r: %s", msg, exc)
 
     def tick(self) -> None:
@@ -148,7 +149,17 @@ class Engine:
 
     def composition_cycle(self, snapshot: AffectSnapshot,
                           theme_id: int) -> dict:
-        """Compose one two-measure block; returns the decision log record."""
+        """Compose one two-measure block; returns the decision log record.
+
+        The turn order fixes every RNG draw, matrix consumption and XCS
+        update, so replays are byte-identical: the lead voice (agent 1)
+        decides; leader election weighs its estimate against the harmony's
+        confidence; the rank walk searches the lead's fragment over the
+        harmony's matrix or, when melody leads, over trial matrices down
+        the chord ranking until it fits; the lead settles; then agent 2
+        (the lowest voice) and the inner voices ascending each propose and
+        settle; last, percussion doubles agent 2's onsets.
+        """
         if self.chord_model is None:
             raise ConductorError("chord model not trained")
         config = self.config
@@ -157,6 +168,7 @@ class Engine:
         span_limit = max_range(n_agents, config.style, config.range_factors)
         block_start = self.cycle_index * self.block_ticks
         explore = self._explore_prob()
+        mode = "explore" if explore > 0 else "exploit"
         for agent in self.agents:
             agent.population.params.explore_prob = explore
 
@@ -170,146 +182,66 @@ class Engine:
             candidates.append((rank, chords, confidence))
         if not candidates:
             raise ConductorError("chord model produced no candidates")
-        harmony_confidence = candidates[0][2]
+        chosen_rank, chords, harmony_confidence = candidates[0]
 
-        # first melody agent decides before leader election
+        # the lead voice decides before leader election
         lead_agent = self.agents[0]
-        operator1, estimate1, action_set1 = lead_agent.decide(
-            snapshot, theme_id, mode="explore" if explore > 0 else "exploit")
-        melody_confidence = estimate1 / config.reward_max
-        gated1 = estimate1 <= config.reward_gate
-        fragment1 = None
-        if not gated1:
-            try:
-                fragment1 = apply_operator(theme, operator1)
-            except OperatorError:
-                fragment1 = None
-
-        base1 = config.agent_range(1)
-        constraint1 = RangeConstraint(*base1)
-        chosen_rank = candidates[0][0]
-        found1 = None
-        if harmony_confidence >= melody_confidence or fragment1 is None:
+        lead = lead_agent.prepare(theme, snapshot, theme_id, mode, apply_operator)
+        melody_confidence = lead.estimated_reward / config.reward_max
+        constraint1 = RangeConstraint(*config.agent_range(1))
+        if isinstance(lead, Abstention) or harmony_confidence >= melody_confidence:
             leader = "harmony"
-            self.matrix.extend(candidates[0][1])
-            chords = candidates[0][1]
-            if fragment1 is not None:
-                found1 = lead_agent.search_placement(
-                    fragment1, self.matrix, config.style, n_agents, constraint1)
+            self.matrix.extend(chords)
+            if not isinstance(lead, Abstention):
+                lead = lead.placed(lead_agent.search_placement(
+                    lead.fragment, self.matrix, config.style, n_agents, constraint1))
         else:
             # melody leads: walk down the chord ranking until the phrase fits
             leader = "melody"
-            chords = candidates[0][1]
-            committed = None
             for rank, chords_r, _conf in candidates:
                 trial = self.matrix.copy()
                 trial.extend(chords_r)
                 found = lead_agent.search_placement(
-                    fragment1, trial, config.style, n_agents, constraint1)
+                    lead.fragment, trial, config.style, n_agents, constraint1)
                 if found is not None:
-                    committed = (rank, chords_r, trial, found)
+                    chosen_rank, chords, self.matrix = rank, chords_r, trial
                     break
-            if committed is not None:
-                chosen_rank, chords, self.matrix, found1 = (
-                    committed[0], committed[1], committed[2], committed[3])
             else:
-                self.matrix.extend(candidates[0][1])
+                self.matrix.extend(chords)
+            lead = lead.placed(found)
         self.chord_history.extend(chord for chord, _ in chords)
 
-        agent_records: list[dict] = []
-        committed_placements: dict[int, object] = {}
-
-        def commit(agent: MelodyAgent, placement, action_set, operator,
-                   estimate, h_score, p_score) -> dict:
-            self.matrix.consume(placement)
-            realized = placed_fragment(placement)
-            track = self.melody_tracks[agent.agent_id - 1]
-            for note in realized.notes:
-                track.notes.append(ScoreNote(note.pitch, block_start + note.onset,
-                                             note.duration, note.velocity))
-            raw_reward, features = realize_reward(
-                snapshot, placement, config.tempo_bpm, config.normalize_happiness)
-            clamped = min(config.reward_max, max(0.0, raw_reward))
-            agent.population.update(action_set, clamped)
-            committed_placements[agent.agent_id] = placement
-            return {
-                "agent": agent.agent_id,
-                "abstained": False,
-                "operator": OPERATOR_NAMES[operator],
-                "estimated_reward": round(estimate, 6),
-                "reward": round(raw_reward, 6),
-                "harmonic_fitness": round(h_score, 6),
-                "style_fit": round(p_score, 6),
-                "score": round(h_score + p_score, 6),
-                "transposition": placement.transposition,
-                "shift": placement.time_shift,
-                "pitches": [n.pitch for n in realized.notes],
-                "onsets": [n.onset for n in realized.notes],
-                "notes_per_second": round(features.notes_per_second, 6),
-                "mean_interval": round(features.mean_interval, 6),
-            }
-
-        def abstain(agent: MelodyAgent, operator, estimate, reason: str) -> dict:
-            return {
-                "agent": agent.agent_id,
-                "abstained": True,
-                "reason": reason,
-                "operator": None if operator is None else OPERATOR_NAMES[operator],
-                "estimated_reward": None if estimate is None else round(estimate, 6),
-            }
-
-        # agent 1 (highest voice); failed actions reinforce with zero reward,
-        # gate abstentions leave the population untouched
-        if found1 is not None:
-            placement1, h1, p1 = found1
-            agent_records.append(commit(lead_agent, placement1, action_set1,
-                                        operator1, estimate1, h1, p1))
-        else:
-            reason = "gate" if gated1 else ("operator" if fragment1 is None else "search")
-            if reason != "gate":
-                lead_agent.population.update(action_set1, 0.0)
-            agent_records.append(abstain(lead_agent, operator1, estimate1, reason))
-
-        voice1 = committed_placements.get(1)
-        voice1_notes = placed_fragment(voice1).notes if voice1 else ()
+        record1, voice1_notes = self._settle(lead_agent, lead, snapshot, block_start)
+        agent_records = [record1]
         voice1_min = min((n.pitch for n in voice1_notes), default=None)
         voice1_max = max((n.pitch for n in voice1_notes), default=None)
 
-        # agent 2 (lowest voice), then inner voices ascending
+        # agent 2 (lowest voice), then inner voices ascending; every voice
+        # stays below the lead, and each inner voice above the ones before
         lower_anchor: int | None = None
+        lowest_notes: tuple[Note, ...] = ()
         for agent in self.agents[1:]:
-            base_lo, base_hi = config.agent_range(agent.agent_id)
+            lo, hi = config.agent_range(agent.agent_id)
+            if voice1_min is not None:
+                hi = min(hi, voice1_min)
             if agent.agent_id == 2:
-                hi = base_hi if voice1_min is None else min(base_hi, voice1_min)
-                lo = base_lo
                 if voice1_max is not None:
                     lo = max(lo, voice1_max - span_limit)
-            else:
-                lo = base_lo if lower_anchor is None else max(base_lo, lower_anchor)
-                hi = base_hi if voice1_min is None else min(base_hi, voice1_min)
-            constraint = RangeConstraint(lo, hi)
+            elif lower_anchor is not None:
+                lo = max(lo, lower_anchor)
             proposal = agent.propose(theme, snapshot, theme_id, self.matrix,
-                                     config.style, n_agents, constraint,
-                                     mode="explore" if explore > 0 else "exploit")
-            if isinstance(proposal, Abstention):
-                if proposal.reason != "gate":
-                    agent.population.update(proposal.action_set, 0.0)
-                agent_records.append(abstain(agent, proposal.operator,
-                                             proposal.estimated_reward,
-                                             proposal.reason))
-                continue
-            record = commit(agent, proposal.placement, proposal.action_set,
-                            proposal.operator, proposal.estimated_reward,
-                            proposal.harmonic_fitness, proposal.style_fit)
+                                     config.style, n_agents, RangeConstraint(lo, hi),
+                                     mode, apply_operator)
+            record, notes = self._settle(agent, proposal, snapshot, block_start)
             agent_records.append(record)
-            placed = placed_fragment(proposal.placement)
-            top = max(n.pitch for n in placed.notes)
-            if agent.agent_id >= 2:
+            if notes:
+                top = max(n.pitch for n in notes)
                 lower_anchor = top if lower_anchor is None else max(lower_anchor, top)
+            if agent.agent_id == 2:
+                lowest_notes = notes
 
         # percussion doubles the lowest committed line
-        lowest = committed_placements.get(2)
-        lowest_onsets = sorted({n.onset for n in placed_fragment(lowest).notes}) if lowest else []
+        lowest_onsets = sorted({n.onset for n in lowest_notes})
         phrase = generate_percussion(lowest_onsets, config.style, self.percussion_rng)
         percussion_hits = []
         for lane, hits in phrase.lanes.items():
@@ -338,6 +270,52 @@ class Engine:
         self.cycle_log.append(record)
         self.cycle_index += 1
         return record
+
+    def _settle(self, agent: MelodyAgent, outcome: Proposal | Abstention,
+                snapshot: AffectSnapshot, block_start: int) -> tuple[dict, tuple[Note, ...]]:
+        """End an agent's turn; returns its log record and the notes it
+        placed.  A placed proposal is committed: its cells are consumed, it
+        is realized once, written to the agent's track and reinforced with
+        the clamped reward.  A failed action is reinforced with zero reward;
+        a gate abstention leaves the population untouched."""
+        if isinstance(outcome, Abstention):
+            if outcome.reason != "gate":
+                agent.population.update(outcome.action_set, 0.0)
+            return {
+                "agent": agent.agent_id,
+                "abstained": True,
+                "reason": outcome.reason,
+                "operator": OPERATOR_NAMES[outcome.operator],
+                "estimated_reward": round(outcome.estimated_reward, 6),
+            }, ()
+        config = self.config
+        placement = outcome.placement
+        self.matrix.consume(placement)
+        realized = placed_fragment(placement)
+        track = self.melody_tracks[agent.agent_id - 1]
+        for note in realized.notes:
+            track.notes.append(ScoreNote(note.pitch, block_start + note.onset,
+                                         note.duration, note.velocity))
+        raw_reward, features = realize_reward(
+            snapshot, realized, config.tempo_bpm, config.normalize_happiness)
+        agent.population.update(outcome.action_set,
+                                min(config.reward_max, max(0.0, raw_reward)))
+        return {
+            "agent": agent.agent_id,
+            "abstained": False,
+            "operator": OPERATOR_NAMES[outcome.operator],
+            "estimated_reward": round(outcome.estimated_reward, 6),
+            "reward": round(raw_reward, 6),
+            "harmonic_fitness": round(outcome.harmonic_fitness, 6),
+            "style_fit": round(outcome.style_fit, 6),
+            "score": round(outcome.harmonic_fitness + outcome.style_fit, 6),
+            "transposition": placement.transposition,
+            "shift": placement.time_shift,
+            "pitches": [n.pitch for n in realized.notes],
+            "onsets": [n.onset for n in realized.notes],
+            "notes_per_second": round(features.notes_per_second, 6),
+            "mean_interval": round(features.mean_interval, 6),
+        }, realized.notes
 
     def compose_block(self) -> dict:
         """Snapshot the graph and compose the next block."""

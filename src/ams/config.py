@@ -166,7 +166,6 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> EngineConfig:
             if value is not None and not Path(value).is_absolute():
                 setattr(config, attribute, str(base_dir / value))
     config.xcs.explore_prob = config.explore_prob
-    config.xcs.reward_max = config.reward_max
     config.__post_init__()
     return config
 

@@ -89,10 +89,8 @@ class ConceptGraph:
         self.vertices: dict[str, ConceptVertex] = {}
         self.edges: dict[tuple[str, str], ConceptEdge] = {}
         self._adjacency: dict[str, set[str]] = {}
-        self._affect_ids: dict[str, str] = {}
         for category in AFFECT_CATEGORIES:
             self._add_vertex(ConceptVertex(category, VertexKind.AFFECT))
-            self._affect_ids[category] = category
 
     # -- structure ----------------------------------------------------------
 
@@ -106,7 +104,7 @@ class ConceptGraph:
         if name in self.vertices:
             return name
         lowered = name.lower()
-        if lowered in self._affect_ids:
+        if lowered in AFFECT_CATEGORIES:
             return lowered
         return None
 
@@ -145,7 +143,9 @@ class ConceptGraph:
             vertex = self._ensure_concept(msg.name, kind)
             self._activate(vertex, msg.level, msg.mode)
         elif isinstance(msg, SetAffect):
-            vertex = self.vertices[self._affect_ids[msg.category]]
+            if msg.category not in AFFECT_CATEGORIES:
+                raise GraphError(f"unknown affect category {msg.category!r}")
+            vertex = self.vertices[msg.category]
             self._activate(vertex, msg.level, msg.mode)
         elif isinstance(msg, SetEdge):
             if not 0.0 <= msg.weight <= 1.0:

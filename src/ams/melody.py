@@ -287,20 +287,34 @@ class RangeConstraint:
 
 @dataclass
 class Proposal:
-    placement: Placement
-    action_set: list
+    """An action that produced a fragment: unplaced after `prepare`, placed
+    by `placed` once a search has found where it fits."""
+
     operator: int
+    action_set: list
     estimated_reward: float
-    harmonic_fitness: float
-    style_fit: float
-    score: float  # M = H + P
+    fragment: MelodicFragment
+    placement: Placement | None = None
+    harmonic_fitness: float = 0.0
+    style_fit: float = 0.0
+
+    def placed(self, found: tuple[Placement, float, float] | None) -> "Proposal | Abstention":
+        """This proposal at the search result, or a "search" Abstention when
+        the search found nothing."""
+        if found is None:
+            return Abstention("search", self.operator, self.action_set,
+                              self.estimated_reward)
+        placement, h_score, p_score = found
+        return replace(self, placement=placement, harmonic_fitness=h_score,
+                       style_fit=p_score)
 
 
 @dataclass
 class Abstention:
     """A declined turn.  "gate" means the agent chose not to act; "operator"
-    and "search" mean it acted but the action failed, which callers should
-    reinforce with zero reward."""
+    and "search" mean it acted but the action failed.  The engine settles
+    it: failed actions are reinforced with zero reward, and a gate
+    abstention leaves the population untouched."""
 
     reason: str  # "gate" | "operator" | "search"
     operator: int
@@ -363,24 +377,31 @@ class MelodyAgent:
             return None
         return best[1], best[2], best[3]
 
-    def propose(self, theme: MelodicFragment, snapshot: AffectSnapshot,
-                theme_id: int, matrix: ResourceMatrix, style: str,
-                n_agents: int, constraint: RangeConstraint,
-                mode: str = "exploit") -> Proposal | Abstention:
-        """Full agent step; an Abstention carries why the agent sat out."""
+    def prepare(self, theme: MelodicFragment, snapshot: AffectSnapshot,
+                theme_id: int, mode: str = "exploit",
+                operate=apply_operator) -> Proposal | Abstention:
+        """The turn up to the search: decide, then the reward gate, then the
+        operator.  `operate(theme, operator)` applies the operator."""
         operator, prediction, action_set = self.decide(snapshot, theme_id, mode)
         if prediction <= self.reward_gate:
             return Abstention("gate", operator, action_set, prediction)
         try:
-            fragment = apply_operator(theme, operator)
+            fragment = operate(theme, operator)
         except OperatorError:
             return Abstention("operator", operator, action_set, prediction)
-        found = self.search_placement(fragment, matrix, style, n_agents, constraint)
-        if found is None:
-            return Abstention("search", operator, action_set, prediction)
-        placement, h_score, p_score = found
-        return Proposal(placement, action_set, operator, prediction,
-                        h_score, p_score, h_score + p_score)
+        return Proposal(operator, action_set, prediction, fragment)
+
+    def propose(self, theme: MelodicFragment, snapshot: AffectSnapshot,
+                theme_id: int, matrix: ResourceMatrix, style: str,
+                n_agents: int, constraint: RangeConstraint,
+                mode: str = "exploit", operate=apply_operator) -> Proposal | Abstention:
+        """Full agent turn on one matrix; an Abstention carries why the agent
+        sat out."""
+        proposal = self.prepare(theme, snapshot, theme_id, mode, operate)
+        if isinstance(proposal, Abstention):
+            return proposal
+        return proposal.placed(self.search_placement(
+            proposal.fragment, matrix, style, n_agents, constraint))
 
 
 def placed_fragment(placement: Placement) -> MelodicFragment:
@@ -390,11 +411,11 @@ def placed_fragment(placement: Placement) -> MelodicFragment:
             .shifted(placement.time_shift * TICKS_PER_CELL))
 
 
-def realize_reward(snapshot: AffectSnapshot, placement: Placement,
+def realize_reward(snapshot: AffectSnapshot, realized: MelodicFragment,
                    tempo_bpm: float,
                    normalize_happiness: bool = True) -> tuple[float, FragmentFeatures]:
-    """Reward of the placed fragment at the actual tempo, for the XCS update."""
-    realized = placed_fragment(placement)
+    """Reward of a placed fragment (see `placed_fragment`) at the actual
+    tempo, for the XCS update."""
     features = compute_features(realized, tempo_bpm)
     return reward(snapshot, features, normalize_happiness), features
 

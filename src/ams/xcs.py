@@ -26,7 +26,7 @@ class XcsError(ValueError):
 class XcsParams:
     population_cap: int = 400           # max total numerosity
     learning_rate: float = 0.2          # beta
-    error_threshold: float = 0.012      # epsilon_0, 1% of reward_max
+    error_threshold: float = 0.012      # epsilon_0, 1% of EngineConfig.reward_max
     accuracy_power: float = 5.0         # nu
     accuracy_scale: float = 0.1         # alpha
     ga_threshold: float = 25.0          # theta_GA
@@ -37,7 +37,6 @@ class XcsParams:
     explore_prob: float = 0.1           # epsilon_explore
     min_actions: int = 8                # theta_mna: cover until this many actions
     n_actions: int = 8
-    reward_max: float = 1.2
     init_prediction: float = 0.01
     init_error: float = 0.01
     init_fitness: float = 0.01

@@ -194,7 +194,7 @@ def test_08_environment_encoding():
 
 
 def test_09_xcs_convergence():
-    params = XcsParams(explore_prob=0.25, reward_max=0.7)
+    params = XcsParams(explore_prob=0.25)
     pop = XcsPopulation(params, random.Random(11))
     bits = "010010110001000011"
     for _ in range(4000):

@@ -1,6 +1,7 @@
 """Command line interface: trace parsing, subcommands, exit codes."""
 
 import builtins
+import hashlib
 import json
 
 import pytest
@@ -178,6 +179,42 @@ def test_replay_is_deterministic(tmp_path):
                      "--out", str(out)]) == EXIT_OK
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# sha256 of the MIDI, cycle log and score log of `ams replay <trace>
+# --config demo.cfg`; a change that alters composed output fails here
+GOLDEN_REPLAYS = {
+    "happiness_plateau": (
+        "bcb94a801d17179584ad96215a8134709534cb94b66a1fc99ada3d3a9f105711",
+        "8bdce3c3c1d92084d273e4d2d1520b0457c03fd5d1f2ec2209f2c97315b14092",
+        "3bc26cc6d05ef6273d1e77de2f1453fa1c429cbb92ad4740cf3542ef059d6403",
+    ),
+    "mixed_session": (
+        "8db12840af5c7a0437a6eb633599eb5c7a5368be3954bf3f6bedfca2d882db4e",
+        "8e78d5193c7e6b74c4ae68f9423c5e0249d494b36079cb5da51b749f9041fc64",
+        "b3ae506d35c1fef6b1fd8e456efcda7dae203ee807f8a248b6b004e6ffb1bd39",
+    ),
+    "sadness_plateau": (
+        "f197756d689cffa4ec23d0414a32c8a827404b00c16c3d0ab52c918aacacde5d",
+        "fe6e354d27663ed56eac423c0ed790252e7974f246454d0d17ba0eb6d58bf0ba",
+        "a40170d34084b803c4ed8269973d76e308a1cc0c0580168839bf3c280347ac8e",
+    ),
+    "threat_ramp": (
+        "76a85eee464b0fe9a7732b86993410514194b37de0da9859d1b06447983851ce",
+        "1e5004981e03133dfef44f5637bf204e543ea14455741f012b597bac086faf2d",
+        "f7bd7d4aad5417c03173cc82dcc2f0584b59a2fe4b5c336959ccfb24ec47f42a",
+    ),
+}
+
+
+@pytest.mark.parametrize("trace", sorted(GOLDEN_REPLAYS))
+def test_replay_output_matches_golden_digests(trace, tmp_path):
+    paths = [tmp_path / "out.mid", tmp_path / "cycles.jsonl", tmp_path / "score.jsonl"]
+    assert main(["replay", str(ASSET_ROOT / "traces" / f"{trace}.jsonl"),
+                 "--config", str(ASSET_ROOT / "demo.cfg"), "--out", str(paths[0]),
+                 "--cycle-log", str(paths[1]), "--score-log", str(paths[2])]) == EXIT_OK
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == GOLDEN_REPLAYS[trace]
 
 
 def test_replay_bad_trace_exits_runtime(tmp_path, capsys):

@@ -7,9 +7,13 @@ import pytest
 
 from ams.chord_model import ChordSequenceModel
 from ams.cli import build_engine, parse_trace, trace_feed
+from ams import conductor
 from ams.config import ASSET_ROOT, EngineConfig, load_config
+from ams.context_graph import ConceptGraph
+from ams.melody import MelodicFragment, OperatorError
 from ams.osc_gateway import ActivateConcept, AssignTheme, SetAffect, SetEdge
 from ams.render import score_to_midi_bytes
+from ams.xcs import XcsPopulation
 
 
 def make_engine(**overrides):
@@ -70,6 +74,32 @@ def test_percussion_kick_doubles_lowest_voice(ran_engine):
             assert kick == []
 
 
+def test_every_voice_settles_through_one_path(monkeypatch):
+    rewards = []
+    update = XcsPopulation.update
+
+    def recording_update(population, action_set, reward):
+        rewards.append(reward)
+        update(population, action_set, reward)
+
+    def failing_operator(theme, operator):
+        raise OperatorError("forced")
+
+    monkeypatch.setattr(XcsPopulation, "update", recording_update)
+    monkeypatch.setattr(conductor, "apply_operator", failing_operator)
+    # failed actions, the lead's included, are reinforced with zero reward
+    record = make_engine().compose_block()
+    assert [(a["agent"], a["reason"]) for a in record["agents"]] == [
+        (1, "operator"), (2, "operator"), (3, "operator")]
+    assert record["leader"] == "harmony"
+    assert rewards == [0.0, 0.0, 0.0]
+    # a gate abstention leaves the population untouched
+    rewards.clear()
+    record = make_engine(reward_gate=1.2).compose_block()
+    assert [a["reason"] for a in record["agents"]] == ["gate"] * 3
+    assert rewards == []
+
+
 def test_same_seed_same_output():
     scores = []
     for _ in range(2):
@@ -110,9 +140,21 @@ def test_dominant_theme_selected():
 def test_bad_messages_logged_not_raised():
     engine = make_engine()
     engine.queue.put(AssignTheme("missing-object", 3))
+    engine.queue.put(SetAffect("fear", 50.0, "set"))
     engine.queue.put(SetAffect("happiness", 50.0, "set"))
     engine.ingest()  # must not raise
     assert engine.graph.affect_snapshot().happiness == 50.0
+
+
+def test_ingest_does_not_swallow_program_errors(monkeypatch):
+    def broken(graph, msg):
+        raise KeyError("bug")
+
+    engine = make_engine()
+    monkeypatch.setattr(ConceptGraph, "apply_message", broken)
+    engine.queue.put(SetAffect("happiness", 50.0, "set"))
+    with pytest.raises(KeyError):
+        engine.ingest()
 
 
 def test_theme_evolution_on_first_edge():
@@ -164,3 +206,23 @@ def test_replay_ranks_each_chord_context_once(monkeypatch):
     # each cycle asks for at least two rankings, so contexts repeat
     assert 0 < len(ranked) < 2 * engine.cycle_index
     assert set(ranked.values()) == {1}
+
+
+def test_replay_realizes_each_committed_placement_once(monkeypatch):
+    transposed = MelodicFragment.transposed
+    calls = [0]
+
+    def counting_transposed(fragment, semitones):
+        calls[0] += 1
+        return transposed(fragment, semitones)
+
+    # only placed_fragment transposes a fragment
+    monkeypatch.setattr(MelodicFragment, "transposed", counting_transposed)
+    engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
+    events = parse_trace((ASSET_ROOT / "traces" / "mixed_session.jsonl").read_text())
+    engine.run(events[-1][0] + int(2 * engine.block_ms),
+               message_feed=trace_feed(events), clock=None)
+    committed = sum(1 for record in engine.cycle_log
+                    for agent in record["agents"] if not agent["abstained"])
+    assert committed > 0
+    assert calls[0] == committed

@@ -25,9 +25,8 @@ def test_parse_engine_and_nested_sections():
     assert config.seed == 42
     assert config.graph.vertex_fade_per_s == 0.2
     assert config.xcs.population_cap == 500
-    # explore and reward bounds propagate into the classifier params
+    # the explore probability propagates into the classifier params
     assert config.xcs.explore_prob == 0.25
-    assert config.xcs.reward_max == config.reward_max
 
 
 def test_comments_and_blanks_ok():

@@ -28,6 +28,12 @@ def test_affect_names_case_insensitive():
     assert g.vertices["threat"].activation == 55.0
 
 
+def test_unknown_affect_category_is_graph_error():
+    g = ConceptGraph()
+    with pytest.raises(GraphError, match="unknown affect category 'fear'"):
+        g.apply_message(SetAffect("fear", 50.0, "set"))
+
+
 def test_set_mode_keeps_maximum():
     g = ConceptGraph()
     g.apply_message(SetAffect("threat", 60.0, "set"))
