@@ -20,13 +20,14 @@ from .melody import (
     OPERATOR_NAMES,
     Proposal,
     RangeConstraint,
+    admissible_transpositions,
     apply_operator,
     evolve_theme,
     max_range,
     placed_fragment,
     realize_reward,
 )
-from .osc_gateway import MessageQueue
+from .osc_gateway import AssignTheme, MessageQueue
 from .percussion import GM_NOTES, generate_percussion
 from .render import BLOCK_TICKS, PERCUSSION_CHANNEL, TICKS_PER_QUARTER, Score, ScoreNote, Track
 from .themes import ThemeLibrary
@@ -73,7 +74,9 @@ class Engine:
         self.cycle_index = 0
         self.time_ms = 0
         self.cycle_log: list[dict] = []
-        self._evolution_checked: set[str] = set()
+        # unthemed objects not yet checked for evolution, in vertex order
+        self._unthemed: list[str] = []
+        self._vertices_seen = 0
 
         self.melody_tracks = [
             Track(name=f"melody-{i + 1}", channel=self._channel(i))
@@ -115,14 +118,23 @@ class Engine:
 
     def _maybe_evolve_themes(self) -> None:
         """Evolve a theme for any unthemed object once its first edge
-        appears, breeding from the nearest themed objects."""
-        for vid, vertex in list(self.graph.vertices.items()):
-            if (vertex.kind is not VertexKind.OBJECT or vertex.theme is not None
-                    or vid in self._evolution_checked
-                    or self.graph.degree(vid) == 0):
+        appears, breeding from the nearest themed objects.  An object is
+        checked once, in vertex insertion order; one themed by a message
+        first is never checked."""
+        graph = self.graph
+        for vid in graph.vertex_ids(self._vertices_seen):
+            vertex = graph.vertices[vid]
+            if vertex.kind is VertexKind.OBJECT and vertex.theme is None:
+                self._unthemed.append(vid)
+        self._vertices_seen = len(graph.vertices)
+        waiting = []
+        for vid in self._unthemed:
+            if graph.vertices[vid].theme is not None:
                 continue
-            self._evolution_checked.add(vid)
-            parent_ids = self.graph.nearest_themed(vid, 2)
+            if graph.degree(vid) == 0:
+                waiting.append(vid)
+                continue
+            parent_ids = graph.nearest_themed(vid, 2)
             parents = [self.themes.get(t) for t in parent_ids if t in self.themes]
             if not parents:
                 continue
@@ -131,7 +143,8 @@ class Engine:
             child = evolve_theme(parents[0], parents[1], self.evolution_rng)
             new_id = self.themes.add(child)
             if new_id is not None:
-                vertex.theme = new_id
+                graph.apply_message(AssignTheme(vid, new_id))
+        self._unthemed = waiting
 
     # -- composition --------------------------------------------------------
 
@@ -196,17 +209,20 @@ class Engine:
                 lead = lead.placed(lead_agent.search_placement(
                     lead.fragment, self.matrix, config.style, n_agents, constraint1))
         else:
-            # melody leads: walk down the chord ranking until the phrase fits
+            # melody leads: walk down the chord ranking until the phrase
+            # fits; a phrase that fits no matrix skips the walk
             leader = "melody"
-            for rank, chords_r, _conf in candidates:
-                trial = self.matrix.copy()
-                trial.extend(chords_r)
-                found = lead_agent.search_placement(
-                    lead.fragment, trial, config.style, n_agents, constraint1)
-                if found is not None:
-                    chosen_rank, chords, self.matrix = rank, chords_r, trial
-                    break
-            else:
+            found = None
+            if admissible_transpositions(lead.fragment, constraint1):
+                for rank, chords_r, _conf in candidates:
+                    trial = self.matrix.copy()
+                    trial.extend(chords_r)
+                    found = lead_agent.search_placement(
+                        lead.fragment, trial, config.style, n_agents, constraint1)
+                    if found is not None:
+                        chosen_rank, chords, self.matrix = rank, chords_r, trial
+                        break
+            if found is None:
                 self.matrix.extend(chords)
             lead = lead.placed(found)
         self.chord_history.extend(chord for chord, _ in chords)

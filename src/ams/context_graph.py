@@ -1,17 +1,26 @@
-"""Spreading-activation model of game context.
+"""Spreading-activation model of game context (after Collins & Loftus, 1975).
 
 A weighted undirected graph of affect, object and environment vertices.
 Activation spreads one hop per tick from the pre-tick state, edges are
 inferred from co-activation above 50, and both activations and inferred
 edge weights fade over time.
+
+The state lives in numpy arrays, so a tick costs a fixed number of array
+operations plus work in proportion to what changed.  Vertex indices follow
+insertion order, with the six affect vertices first (index i is
+AFFECT_CATEGORIES[i]).  Edge slots are dense: removing an edge moves the
+last slot into its place.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .osc_gateway import (
     AFFECT_CATEGORIES,
@@ -25,6 +34,9 @@ from .osc_gateway import (
 CO_ACTIVATION_THRESHOLD = 50.0
 EDGE_REMOVAL_THRESHOLD = 0.01
 
+N_AFFECT = len(AFFECT_CATEGORIES)
+_INITIAL_CAPACITY = 64
+
 
 class GraphError(ValueError):
     pass
@@ -34,23 +46,6 @@ class VertexKind(Enum):
     AFFECT = "affect"
     OBJECT = "object"
     ENVIRONMENT = "environment"
-
-
-@dataclass
-class ConceptVertex:
-    id: str
-    kind: VertexKind
-    activation: float = 0.0
-    theme: int | None = None  # only Object vertices carry themes
-    last_activated: int = 0  # engine time, ms
-
-
-@dataclass
-class ConceptEdge:
-    a: str
-    b: str
-    weight: float
-    explicit: bool  # explicit edges never fade
 
 
 @dataclass
@@ -79,206 +74,377 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _grown(array: np.ndarray) -> np.ndarray:
+    """`array` with its last axis doubled; the new entries are zero."""
+    bigger = np.zeros(array.shape[:-1] + (2 * array.shape[-1],), dtype=array.dtype)
+    bigger[..., :array.shape[-1]] = array
+    return bigger
+
+
+class ConceptVertex:
+    """Read-only view of one vertex of a ConceptGraph."""
+
+    __slots__ = ("_graph", "_index")
+
+    def __init__(self, graph: "ConceptGraph", index: int):
+        self._graph = graph
+        self._index = index
+
+    @property
+    def id(self) -> str:
+        return self._graph._ids[self._index]
+
+    @property
+    def kind(self) -> VertexKind:
+        return self._graph._kinds[self._index]
+
+    @property
+    def activation(self) -> float:
+        return self._graph._activation.item(self._index)
+
+    @property
+    def theme(self) -> int | None:
+        """Only object vertices carry themes."""
+        return self._graph._themes[self._index]
+
+    @property
+    def last_activated(self) -> int:
+        """Engine time of the last activation message, ms."""
+        return self._graph._last_activated[self._index]
+
+
+class ConceptEdge:
+    """Read-only view of one edge of a ConceptGraph, keyed by its sorted
+    endpoint ids `a` <= `b`."""
+
+    __slots__ = ("_graph", "a", "b")
+
+    def __init__(self, graph: "ConceptGraph", key: tuple[str, str]):
+        self._graph = graph
+        self.a, self.b = key
+
+    @property
+    def weight(self) -> float:
+        return self._graph._weights.item(self._graph._slots[(self.a, self.b)])
+
+    @property
+    def explicit(self) -> bool:
+        """Explicit edges never fade."""
+        return not self._graph._inferred[self._graph._slots[(self.a, self.b)]]
+
+
+class _Vertices(Mapping):
+    """Vertex id -> ConceptVertex, in index order."""
+
+    def __init__(self, graph: "ConceptGraph"):
+        self._graph = graph
+
+    def __getitem__(self, vid: str) -> ConceptVertex:
+        return ConceptVertex(self._graph, self._graph._index[vid])
+
+    def __contains__(self, vid: object) -> bool:
+        return vid in self._graph._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._graph._ids)
+
+    def __len__(self) -> int:
+        return len(self._graph._ids)
+
+
+class _Edges(Mapping):
+    """Sorted endpoint pair -> ConceptEdge, in creation order."""
+
+    def __init__(self, graph: "ConceptGraph"):
+        self._graph = graph
+
+    def __getitem__(self, key: tuple[str, str]) -> ConceptEdge:
+        if key not in self._graph._slots:
+            raise KeyError(key)
+        return ConceptEdge(self._graph, key)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._graph._slots
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._graph._slots)
+
+    def __len__(self) -> int:
+        return len(self._graph._slots)
+
+
 class ConceptGraph:
     """Live game-context model.  Owned by a single engine thread; readers get
-    point-in-time snapshots via affect_snapshot()/copy()."""
+    point-in-time snapshots via affect_snapshot()/copy().
+
+    Storage: one activation per vertex index in a float64 array, affect
+    vertices at indices 0-5 and every other vertex after them in insertion
+    order; per edge slot, endpoint indices, a weight and an inferred flag.
+    `vertices` and `edges` are read-only mappings onto views of these
+    arrays; the graph changes only through `apply_message` and `tick`.
+    """
 
     def __init__(self, params: GraphParams | None = None):
         self.params = params or GraphParams()
         self.clock = 0  # ms
-        self.vertices: dict[str, ConceptVertex] = {}
-        self.edges: dict[tuple[str, str], ConceptEdge] = {}
-        self._adjacency: dict[str, set[str]] = {}
+        # per vertex index
+        self._ids: list[str] = []
+        self._index: dict[str, int] = {}
+        self._kinds: list[VertexKind] = []
+        self._themes: list[int | None] = []
+        self._last_activated: list[int] = []
+        self._adjacency: list[dict[int, int]] = []  # neighbour index -> edge slot
+        self._activation = np.zeros(_INITIAL_CAPACITY)
+        self._themed = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        # per edge slot
+        self._keys: list[tuple[str, str]] = []
+        self._slots: dict[tuple[str, str], int] = {}  # creation order
+        self._ends = np.zeros((2, _INITIAL_CAPACITY), dtype=np.intp)
+        self._weights = np.zeros(_INITIAL_CAPACITY)
+        self._inferred = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        # every _set_edge and _remove_edge bumps the structure version,
+        # which keys the hot-pair cache
+        self._version = 0
+        self._hot_key: tuple[bytes, int] | None = None
+        self._hot_slots = np.zeros(0, dtype=np.intp)
+
+        self.vertices: Mapping[str, ConceptVertex] = _Vertices(self)
+        self.edges: Mapping[tuple[str, str], ConceptEdge] = _Edges(self)
         for category in AFFECT_CATEGORIES:
-            self._add_vertex(ConceptVertex(category, VertexKind.AFFECT))
+            self._add_vertex(category, VertexKind.AFFECT)
 
     # -- structure ----------------------------------------------------------
 
-    def _add_vertex(self, vertex: ConceptVertex) -> None:
-        self.vertices[vertex.id] = vertex
-        self._adjacency[vertex.id] = set()
+    def _add_vertex(self, vid: str, kind: VertexKind) -> int:
+        index = len(self._ids)
+        if index == len(self._activation):
+            self._activation = _grown(self._activation)
+            self._themed = _grown(self._themed)
+        self._ids.append(vid)
+        self._index[vid] = index
+        self._kinds.append(kind)
+        self._themes.append(None)
+        self._last_activated.append(0)
+        self._adjacency.append({})
+        return index
 
-    def _resolve(self, name: str) -> str | None:
-        """Map a message name onto a vertex id; affect names match
+    def _resolve(self, name: str) -> int | None:
+        """Map a message name onto a vertex index; affect names match
         case-insensitively."""
-        if name in self.vertices:
-            return name
-        lowered = name.lower()
-        if lowered in AFFECT_CATEGORIES:
-            return lowered
-        return None
+        index = self._index.get(name)
+        if index is None and name.lower() in AFFECT_CATEGORIES:
+            return self._index[name.lower()]
+        return index
 
-    def _ensure_concept(self, name: str, kind: VertexKind) -> ConceptVertex:
-        resolved = self._resolve(name)
-        if resolved is None:
-            vertex = ConceptVertex(name, kind)
-            self._add_vertex(vertex)
-            return vertex
-        return self.vertices[resolved]
+    def _ensure_concept(self, name: str, kind: VertexKind) -> int:
+        index = self._resolve(name)
+        return self._add_vertex(name, kind) if index is None else index
 
     def _set_edge(self, a: str, b: str, weight: float, explicit: bool) -> None:
         if a == b:
             raise GraphError(f"self-loop on {a!r}")
-        va, vb = self.vertices[a], self.vertices[b]
-        if va.kind is VertexKind.AFFECT and vb.kind is VertexKind.AFFECT:
+        ia, ib = self._index[a], self._index[b]
+        if self._kinds[ia] is VertexKind.AFFECT and self._kinds[ib] is VertexKind.AFFECT:
             raise GraphError("edges never form between affect vertices")
         key = _edge_key(a, b)
-        self.edges[key] = ConceptEdge(key[0], key[1], weight, explicit)
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = len(self._keys)
+            if slot == len(self._weights):
+                self._ends = _grown(self._ends)
+                self._weights = _grown(self._weights)
+                self._inferred = _grown(self._inferred)
+            self._keys.append(key)
+            self._slots[key] = slot
+            self._ends[:, slot] = (ia, ib)
+            self._adjacency[ia][ib] = slot
+            self._adjacency[ib][ia] = slot
+        self._weights[slot] = weight
+        self._inferred[slot] = not explicit
+        self._version += 1
 
     def _remove_edge(self, key: tuple[str, str]) -> None:
-        del self.edges[key]
-        self._adjacency[key[0]].discard(key[1])
-        self._adjacency[key[1]].discard(key[0])
+        slot = self._slots.pop(key)
+        ia, ib = self._ends[:, slot].tolist()
+        del self._adjacency[ia][ib]
+        del self._adjacency[ib][ia]
+        last = len(self._keys) - 1
+        if slot != last:
+            moved = self._keys[last]
+            self._keys[slot] = moved
+            self._slots[moved] = slot
+            for array in (self._ends, self._weights, self._inferred):
+                array[..., slot] = array[..., last]
+            ma, mb = self._ends[:, slot].tolist()
+            self._adjacency[ma][mb] = slot
+            self._adjacency[mb][ma] = slot
+        self._keys.pop()
+        self._version += 1
 
     def degree(self, concept: str) -> int:
-        return len(self._adjacency.get(concept, ()))
+        index = self._index.get(concept)
+        return 0 if index is None else len(self._adjacency[index])
+
+    def vertex_ids(self, start: int = 0) -> list[str]:
+        """Vertex ids in index order (insertion order, affect vertices
+        first), from index `start` on."""
+        return self._ids[start:]
 
     # -- message application ------------------------------------------------
 
     def apply_message(self, msg: GameMessage) -> None:
         if isinstance(msg, ActivateConcept):
             kind = VertexKind.OBJECT if msg.kind == "object" else VertexKind.ENVIRONMENT
-            vertex = self._ensure_concept(msg.name, kind)
-            self._activate(vertex, msg.level, msg.mode)
+            self._activate(self._ensure_concept(msg.name, kind), msg.level, msg.mode)
         elif isinstance(msg, SetAffect):
             if msg.category not in AFFECT_CATEGORIES:
                 raise GraphError(f"unknown affect category {msg.category!r}")
-            vertex = self.vertices[msg.category]
-            self._activate(vertex, msg.level, msg.mode)
+            self._activate(self._index[msg.category], msg.level, msg.mode)
         elif isinstance(msg, SetEdge):
             if not 0.0 <= msg.weight <= 1.0:
                 raise GraphError(f"edge weight {msg.weight} outside [0, 1]")
-            a = self._resolve(msg.a) or self._ensure_concept(msg.a, VertexKind.OBJECT).id
-            b = self._resolve(msg.b) or self._ensure_concept(msg.b, VertexKind.OBJECT).id
-            self._set_edge(a, b, msg.weight, explicit=True)
+            a = self._ensure_concept(msg.a, VertexKind.OBJECT)
+            b = self._ensure_concept(msg.b, VertexKind.OBJECT)
+            self._set_edge(self._ids[a], self._ids[b], msg.weight, explicit=True)
         elif isinstance(msg, AssignTheme):
-            resolved = self._resolve(msg.concept)
-            if resolved is None:
-                vertex = self._ensure_concept(msg.concept, VertexKind.OBJECT)
-            else:
-                vertex = self.vertices[resolved]
-            if vertex.kind is not VertexKind.OBJECT:
-                raise GraphError(f"theme assigned to non-object vertex {vertex.id!r}")
-            vertex.theme = msg.theme_id
+            index = self._ensure_concept(msg.concept, VertexKind.OBJECT)
+            if self._kinds[index] is not VertexKind.OBJECT:
+                raise GraphError(f"theme assigned to non-object vertex {self._ids[index]!r}")
+            self._themes[index] = msg.theme_id
+            self._themed[index] = True
         else:
             raise GraphError(f"unknown message {msg!r}")
 
-    def _activate(self, vertex: ConceptVertex, level: float, mode: str) -> None:
+    def _activate(self, index: int, level: float, mode: str) -> None:
+        current = self._activation.item(index)
         if mode == "set":
-            vertex.activation = max(vertex.activation, level)
+            self._activation[index] = max(current, level)
         else:  # add clamps at 100
-            vertex.activation = min(100.0, vertex.activation + level)
-        vertex.last_activated = self.clock
+            self._activation[index] = min(100.0, current + level)
+        self._last_activated[index] = self.clock
 
     # -- tick ---------------------------------------------------------------
 
     def tick(self, dt_ms: int) -> None:
         """One engine step: one-hop spread from the pre-tick snapshot, edge
-        inference at co-activation > 50, then fading."""
+        inference at co-activation > 50, then fading.
+
+        Every step takes the scalar rules' IEEE operations in their order:
+        offers are `activation * weight` and a vertex keeps the larger of
+        its activation and its offers; boosts are `min(1, w + boost)`;
+        fades are `min(100, max(0, a - fade))` and `max(0, w - fade)`.  An
+        explicit weight of -0.0 offers -0.0, which `max(0, a - fade)` turns
+        back into 0.0 before the tick ends."""
         if dt_ms <= 0:
             raise GraphError("dt_ms must be positive")
-        pre = {vid: v.activation for vid, v in self.vertices.items()}
+        activation = self._activation[:len(self._ids)]
+        pre = activation.copy()
 
         # spread, simultaneously from the pre-tick state
-        for edge in self.edges.values():
-            if edge.weight <= 0.0:
-                continue
-            act_a, act_b = pre[edge.a], pre[edge.b]
-            if act_a > 0.0:
-                offered = act_a * edge.weight
-                vb = self.vertices[edge.b]
-                if offered > vb.activation:
-                    vb.activation = offered
-            if act_b > 0.0:
-                offered = act_b * edge.weight
-                va = self.vertices[edge.a]
-                if offered > va.activation:
-                    va.activation = offered
+        if self._keys:
+            ends = self._ends[:, :len(self._keys)]
+            weights = self._weights[:len(self._keys)]
+            np.maximum.at(activation, ends[1], pre[ends[0]] * weights)
+            np.maximum.at(activation, ends[0], pre[ends[1]] * weights)
 
-        # edge inference between co-activated concept (non-affect) vertices
-        hot = [vid for vid, act in pre.items()
-               if act > CO_ACTIVATION_THRESHOLD
-               and self.vertices[vid].kind is not VertexKind.AFFECT]
-        for i, a in enumerate(hot):
-            for b in hot[i + 1:]:
-                key = _edge_key(a, b)
-                edge = self.edges.get(key)
-                if edge is None:
-                    self._set_edge(a, b, self.params.inferred_edge_weight, explicit=False)
-                elif not edge.explicit:
-                    edge.weight = min(1.0, edge.weight + self.params.co_activation_boost)
+        self._infer_edges(pre)
 
         # fading
         vertex_fade = self.params.vertex_fade_per_s * dt_ms / 1000.0
-        edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
-        for vertex in self.vertices.values():
-            vertex.activation = min(100.0, max(0.0, vertex.activation - vertex_fade))
-        doomed = []
-        for key, edge in self.edges.items():
-            if edge.explicit:
-                continue
-            edge.weight = max(0.0, edge.weight - edge_fade)
-            if edge.weight < EDGE_REMOVAL_THRESHOLD:
-                doomed.append(key)
-        for key in doomed:
-            self._remove_edge(key)
+        np.subtract(activation, vertex_fade, out=activation)
+        np.maximum(activation, 0.0, out=activation)
+        np.minimum(activation, 100.0, out=activation)
+        inferred = self._inferred[:len(self._keys)]
+        if inferred.any():
+            edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
+            weights = self._weights[:len(self._keys)]
+            faded = np.maximum(weights - edge_fade, 0.0)
+            np.copyto(weights, faded, where=inferred)
+            doomed = np.flatnonzero(inferred & (faded < EDGE_REMOVAL_THRESHOLD))
+            for key in [self._keys[slot] for slot in doomed.tolist()]:
+                self._remove_edge(key)
 
         self.clock += dt_ms
+
+    def _infer_edges(self, pre: np.ndarray) -> None:
+        """Edge inference between co-activated concept (non-affect) vertices:
+        every hot pair without an edge gets an inferred one, and every
+        inferred edge of a hot pair is boosted.  The boosted slots are
+        cached until the hot set or the structure changes."""
+        hot = np.flatnonzero(pre[N_AFFECT:] > CO_ACTIVATION_THRESHOLD)
+        if len(hot) < 2:
+            return
+        key = (hot.tobytes(), self._version)
+        if key != self._hot_key:
+            hot = (hot + N_AFFECT).tolist()
+            slots = []
+            for n, i in enumerate(hot):
+                neighbours = self._adjacency[i]
+                for j in hot[n + 1:]:
+                    slot = neighbours.get(j)
+                    if slot is None:
+                        self._set_edge(self._ids[i], self._ids[j],
+                                       self.params.inferred_edge_weight, explicit=False)
+                    elif self._inferred[slot]:
+                        slots.append(slot)
+            self._hot_slots = np.array(slots, dtype=np.intp)
+            # an edge created here is boosted from the next tick on, so a
+            # walk that created one is not cached
+            self._hot_key = key if self._version == key[1] else None
+        if len(self._hot_slots):
+            boosted = self._weights[self._hot_slots] + self.params.co_activation_boost
+            self._weights[self._hot_slots] = np.minimum(boosted, 1.0)
 
     # -- queries ------------------------------------------------------------
 
     def affect_snapshot(self) -> AffectSnapshot:
-        return AffectSnapshot(*(self.vertices[c].activation for c in AFFECT_CATEGORIES))
+        return AffectSnapshot(*self._activation[:N_AFFECT].tolist())
 
     def dominant_theme(self) -> tuple[int, str] | None:
         """Theme of the most activated themed object; ties broken by recency,
         then lexicographic id.  None when no themed object is active."""
-        candidates = [v for v in self.vertices.values()
-                      if v.kind is VertexKind.OBJECT and v.theme is not None
-                      and v.activation > 0.0]
-        if not candidates:
+        n = len(self._ids)
+        activation = np.where(self._themed[:n], self._activation[:n], 0.0)
+        top = activation.max()
+        if not top > 0.0:
             return None
-        candidates.sort(key=lambda v: (-v.activation, -v.last_activated, v.id))
-        best = candidates[0]
-        return best.theme, best.id
+        tied = np.flatnonzero(activation == top).tolist()
+        best = min(tied, key=lambda i: (-self._last_activated[i], self._ids[i]))
+        return self._themes[best], self._ids[best]
 
     def nearest_themed(self, concept: str, k: int) -> list[int]:
         """Themes of the k nearest themed objects by Dijkstra with per-edge
-        length 1/weight.  The source vertex itself is excluded."""
-        if concept not in self.vertices:
+        length 1/weight.  The source vertex itself is excluded.  Vertices
+        pop in (distance, id) order, and the search stops at the k-th
+        themed one."""
+        source = self._index.get(concept)
+        if source is None:
             raise GraphError(f"unknown concept {concept!r}")
         if k < 1:
             raise GraphError("k must be >= 1")
-        dist = {concept: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, concept)]
-        order: list[tuple[float, str]] = []
-        visited: set[str] = set()
+        ids, themes, weights = self._ids, self._themes, self._weights
+        dist = {source: 0.0}
+        heap: list[tuple[float, str, int]] = [(0.0, concept, source)]
+        visited: set[int] = set()
+        found: list[int] = []
         while heap:
-            d, vid = heapq.heappop(heap)
-            if vid in visited:
+            d, _vid, i = heapq.heappop(heap)
+            if i in visited:
                 continue
-            visited.add(vid)
-            order.append((d, vid))
-            for nbr in sorted(self._adjacency[vid]):
-                edge = self.edges[_edge_key(vid, nbr)]
-                if edge.weight <= 0.0:
-                    continue
-                nd = d + 1.0 / edge.weight
-                if nd < dist.get(nbr, float("inf")):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        themes: list[int] = []
-        for d, vid in order:
-            if vid == concept:
-                continue
-            vertex = self.vertices[vid]
-            if vertex.kind is VertexKind.OBJECT and vertex.theme is not None:
-                themes.append(vertex.theme)
-                if len(themes) == k:
+            visited.add(i)
+            if i != source and themes[i] is not None:  # only objects carry themes
+                found.append(themes[i])
+                if len(found) == k:
                     break
-        return themes
+            for j, slot in self._adjacency[i].items():
+                weight = weights.item(slot)
+                if weight <= 0.0:
+                    continue
+                nd = d + 1.0 / weight
+                if nd < dist.get(j, float("inf")):
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, ids[j], j))
+        return found
 
     def copy(self) -> "ConceptGraph":
         return copy.deepcopy(self)
@@ -286,11 +452,11 @@ class ConceptGraph:
     def dump(self) -> str:
         """Line-oriented debug dump with stable ordering for golden tests."""
         lines = []
-        for vid in sorted(self.vertices):
+        for vid in sorted(self._ids):
             v = self.vertices[vid]
             theme = "-" if v.theme is None else str(v.theme)
             lines.append(f"vertex {vid} kind={v.kind.value} act={v.activation:.6f} theme={theme}")
-        for key in sorted(self.edges):
+        for key in sorted(self._slots):
             e = self.edges[key]
             prov = "explicit" if e.explicit else "inferred"
             lines.append(f"edge {e.a} {e.b} w={e.weight:.6f} prov={prov}")

@@ -285,6 +285,22 @@ class RangeConstraint:
         return True
 
 
+def admissible_transpositions(fragment: MelodicFragment,
+                              constraint: RangeConstraint) -> list[int]:
+    """Transpositions within the limit that keep the fragment inside the
+    range constraint, ascending.  Empty when the fragment is empty or longer
+    than a block's region, or fits the range at no transposition: then no
+    placement exists on any matrix."""
+    if not fragment.notes:
+        return []
+    if -(-fragment.span_ticks // TICKS_PER_CELL) > ResourceMatrix.region_cells:
+        return []
+    lo = min(n.pitch for n in fragment.notes)
+    hi = max(n.pitch for n in fragment.notes)
+    return [t for t in range(-TRANSPOSITION_LIMIT, TRANSPOSITION_LIMIT + 1)
+            if constraint.allows(lo + t, hi + t)]
+
+
 @dataclass
 class Proposal:
     """An action that produced a fragment: unplaced after `prepare`, placed

@@ -292,18 +292,34 @@ def test_12_real_time_budget():
     p99 = durations[98]
     assert p99 < 0.5
 
+    tick = _min_tick_s(_random_graph(1000, 5000), 20)
+    assert tick < 0.005
+    print(f"PASS 12: budgets (cycle p99 {p99 * 1000:.1f} ms, tick {tick * 1000:.2f} ms)")
+
+
+def test_12_graph_tick_at_10k_vertices_fits_the_tick_period():
+    tick = _min_tick_s(_random_graph(10_000, 50_000), 5)
+    assert tick < 0.030
+    print(f"PASS 12 (scale): 10k vertices / 50k edges tick in {tick * 1000:.2f} ms")
+
+
+def _random_graph(n_vertices: int, n_edges: int) -> ConceptGraph:
+    """Objects below the co-activation threshold and random explicit edges."""
     graph = ConceptGraph()
     rng = random.Random(3)
-    for i in range(1000):
+    for i in range(n_vertices):
         graph.apply_message(ActivateConcept(f"v{i}", "object", rng.uniform(0, 45), "set"))
-    for _ in range(5000):
-        a, b = rng.randrange(1000), rng.randrange(1000)
+    for _ in range(n_edges):
+        a, b = rng.randrange(n_vertices), rng.randrange(n_vertices)
         if a != b:
             graph.apply_message(SetEdge(f"v{a}", f"v{b}", rng.uniform(0.1, 1.0)))
+    return graph
+
+
+def _min_tick_s(graph: ConceptGraph, n_ticks: int) -> float:
     ticks = []
-    for _ in range(20):
+    for _ in range(n_ticks):
         start = time.perf_counter()
         graph.tick(30)
         ticks.append(time.perf_counter() - start)
-    assert min(ticks) < 0.005
-    print(f"PASS 12: budgets (cycle p99 {p99 * 1000:.1f} ms, tick {min(ticks) * 1000:.2f} ms)")
+    return min(ticks)

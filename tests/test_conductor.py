@@ -9,8 +9,14 @@ from ams.chord_model import ChordSequenceModel
 from ams.cli import build_engine, parse_trace, trace_feed
 from ams import conductor
 from ams.config import ASSET_ROOT, EngineConfig, load_config
-from ams.context_graph import ConceptGraph
-from ams.melody import MelodicFragment, OperatorError
+from ams.context_graph import ConceptGraph, VertexKind
+from ams.melody import (
+    MelodicFragment,
+    MelodyAgent,
+    OperatorError,
+    admissible_transpositions,
+    evolve_theme,
+)
 from ams.osc_gateway import ActivateConcept, AssignTheme, SetAffect, SetEdge
 from ams.render import score_to_midi_bytes
 from ams.xcs import XcsPopulation
@@ -226,3 +232,132 @@ def test_replay_realizes_each_committed_placement_once(monkeypatch):
                     for agent in record["agents"] if not agent["abstained"])
     assert committed > 0
     assert calls[0] == committed
+
+
+def test_melody_led_walk_skips_a_lead_phrase_that_fits_nowhere(monkeypatch):
+    # a lead phrase with no admissible transposition, or longer than the
+    # region, fits no trial matrix: the walk is skipped and rank 1 kept
+    search = MelodyAgent.search_placement
+    calls: list[tuple[int, int, bool]] = []  # (cycle, agent, admissible)
+    engines = []
+
+    def counting_search(agent, fragment, matrix, style, n_agents, constraint):
+        admissible = bool(admissible_transpositions(fragment, constraint))
+        calls.append((engines[-1].cycle_index, agent.agent_id, admissible))
+        return search(agent, fragment, matrix, style, n_agents, constraint)
+
+    monkeypatch.setattr(MelodyAgent, "search_placement", counting_search)
+    skipped = 0
+    for trace in ("happiness_plateau", "mixed_session", "sadness_plateau", "threat_ramp"):
+        calls.clear()
+        engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
+        engines.append(engine)
+        events = parse_trace((ASSET_ROOT / "traces" / f"{trace}.jsonl").read_text())
+        engine.run(events[-1][0] + int(2 * engine.block_ms),
+                   message_feed=trace_feed(events), clock=None)
+        lead_calls = Counter(cycle for cycle, agent, _ in calls if agent == 1)
+        for record in engine.cycle_log:
+            lead = record["agents"][0]
+            if record["leader"] != "melody":
+                continue
+            n_calls = lead_calls[record["cycle"]]
+            if not lead["abstained"]:
+                assert n_calls == record["chord_rank"]
+            elif lead["reason"] == "search":
+                assert n_calls in (0, engine.config.top_chord_ranks)
+                assert record["chord_rank"] == 1
+                skipped += n_calls == 0
+        assert all(admissible for cycle, agent, admissible in calls
+                   if agent == 1 and engine.cycle_log[cycle]["leader"] == "melody")
+    # 20 of the 82 melody-led cycles lead with a phrase that fits nowhere;
+    # walking all 8 ranks for them cost 160 futile searches
+    assert skipped == 20
+
+
+def _evolve_scanning_every_vertex(engine):
+    """Theme evolution as a scan of all vertices per tick, with a set of
+    the checked ones: the reference for the pending list."""
+    for vid in list(engine.graph.vertices):
+        vertex = engine.graph.vertices[vid]
+        if (vertex.kind is not VertexKind.OBJECT or vertex.theme is not None
+                or vid in engine.checked or engine.graph.degree(vid) == 0):
+            continue
+        engine.checked.add(vid)
+        parent_ids = engine.graph.nearest_themed(vid, 2)
+        parents = [engine.themes.get(t) for t in parent_ids if t in engine.themes]
+        if not parents:
+            continue
+        if len(parents) == 1:
+            parents.append(parents[0])
+        child = evolve_theme(parents[0], parents[1], engine.evolution_rng)
+        new_id = engine.themes.add(child)
+        if new_id is not None:
+            engine.graph.apply_message(AssignTheme(vid, new_id))
+
+
+def _run_with_both_evolutions(steps):
+    """Feed `steps` (a list of message lists, one per tick) to an engine
+    with the pending list and to one with the reference scan."""
+    engine, reference = make_engine(), make_engine()
+    reference.checked = set()
+    reference._maybe_evolve_themes = lambda: _evolve_scanning_every_vertex(reference)
+    for messages in steps:
+        for e in (engine, reference):
+            for msg in messages:
+                e.queue.put(msg)
+            e.tick()
+    themes = {vid: v.theme for vid, v in engine.graph.vertices.items()}
+    assert themes == {vid: v.theme for vid, v in reference.graph.vertices.items()}
+    assert engine.themes.themes == reference.themes.themes
+    assert engine.evolution_rng.getstate() == reference.evolution_rng.getstate()
+    return engine
+
+
+def test_same_tick_evolutions_follow_vertex_insertion_order():
+    world = [ActivateConcept("hero", "object", 80.0, "set"), AssignTheme("hero", 0),
+             ActivateConcept("villain", "object", 20.0, "set"), AssignTheme("villain", 1),
+             SetEdge("hero", "villain", 0.4)]
+    # inserted in non-alphabetical order; all get their first edge together
+    newcomers = [ActivateConcept(n, "object", 10.0, "set") for n in ("zulu", "alpha", "mike")]
+    edges = [SetEdge("mike", "hero", 0.3), SetEdge("alpha", "villain", 0.9),
+             SetEdge("hero", "zulu", 0.6)]
+    engine = _run_with_both_evolutions([world, newcomers, [], edges])
+    themes = [engine.graph.vertices[n].theme for n in ("zulu", "alpha", "mike")]
+    assert None not in themes and themes == sorted(themes)
+
+
+def test_object_themed_by_message_after_creation_never_evolves():
+    engine = _run_with_both_evolutions([
+        [ActivateConcept("hero", "object", 80.0, "set"), AssignTheme("hero", 0),
+         ActivateConcept("guard", "object", 10.0, "set")],
+        [],
+        [AssignTheme("guard", 5), SetEdge("hero", "guard", 0.9)],
+        [],
+    ])
+    assert engine.graph.vertices["guard"].theme == 5
+    assert len(engine.themes) == len(make_engine().themes)
+
+
+def test_edgeless_object_evolves_on_the_tick_its_first_edge_arrives():
+    engine = make_engine()
+    engine.queue.put(ActivateConcept("hero", "object", 80.0, "set"))
+    engine.queue.put(AssignTheme("hero", 0))
+    engine.queue.put(ActivateConcept("sidekick", "object", 10.0, "set"))
+    for _ in range(5):
+        engine.tick()
+        assert engine.graph.vertices["sidekick"].theme is None
+    engine.queue.put(SetEdge("hero", "sidekick", 0.9))
+    engine.tick()
+    assert engine.graph.vertices["sidekick"].theme is not None
+
+
+def test_object_is_checked_for_evolution_once():
+    # the first edge leads to no themed object: no parents, and the object
+    # is not checked again when a themed neighbour arrives later
+    engine = _run_with_both_evolutions([
+        [ActivateConcept("hero", "object", 80.0, "set"), AssignTheme("hero", 0),
+         SetEdge("stray", "rock", 0.5)],
+        [SetEdge("stray", "hero", 0.9)],
+        [],
+    ])
+    assert engine.graph.vertices["stray"].theme is None

@@ -18,6 +18,7 @@ from ams.melody import (
     OperatorError,
     Proposal,
     RangeConstraint,
+    admissible_transpositions,
     apply_operator,
     compute_features,
     encode_environment,
@@ -26,6 +27,7 @@ from ams.melody import (
     reward,
     style_score,
 )
+from ams.render import TICKS_PER_CELL
 from ams.xcs import XcsParams, XcsPopulation
 
 KEY = Key(0, "major")
@@ -229,6 +231,28 @@ def test_propose_commits_when_open():
                        RangeConstraint(0, 127))
     assert isinstance(result, Proposal)
     assert result.harmonic_fitness >= a.h_min
+
+
+def test_admissible_transpositions_are_what_the_search_may_place():
+    m = ResourceMatrix()
+    m.extend([(parse_chord("C"), 2)])
+    a = agent(h_min=0.0)
+    region_ticks = m.region_cells * TICKS_PER_CELL
+    cases = [
+        (frag([]), RangeConstraint(0, 127), []),
+        # one tick longer than the region
+        (frag([(60, 0, region_ticks + 1)], measures=3), RangeConstraint(0, 127), []),
+        # a 20-semitone phrase in a 10-semitone range
+        (frag([(60, 0, 480), (80, 480, 480)]), RangeConstraint(60, 70), []),
+        (frag([(60, 0, 480), (67, 480, 480)]), RangeConstraint(60, 72), list(range(6))),
+    ]
+    for fragment, constraint, expected in cases:
+        assert admissible_transpositions(fragment, constraint) == expected
+        found = a.search_placement(fragment, m, "folk", 1, constraint)
+        if expected:
+            assert found[0].transposition in expected
+        else:
+            assert found is None
 
 
 def test_search_is_deterministic():
