@@ -3,8 +3,7 @@
 Chord charts are tokenized with barlines replaced by style tokens, an
 order-k count model with stupid backoff ranks candidate next chords, and
 the (normalized) probability of the returned chord doubles as the harmony
-agent's confidence.  The predictor is a small interface so a learned model
-can be dropped in without touching callers.
+agent's confidence.
 
 A model is read-only once `train` or `load` has built it.  It ranks each
 distinct context once: the chord-only count tables of a context's
@@ -276,19 +275,26 @@ class ChordSequenceModel:
 
     @classmethod
     def load(cls, path) -> "ChordSequenceModel":
+        """Read a `save`d model; a truncated or malformed file is a
+        ChordError naming the path."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != cls.MAGIC:
             raise ChordError(f"{path}: not a chord model file")
+        if len(blob) < 9:
+            raise ChordError(f"{path}: truncated model header")
         version, size = struct.unpack_from(">BI", blob, 4)
         if version != cls.VERSION:
             raise ChordError(f"{path}: unsupported model version {version}")
-        payload = json.loads(blob[9 : 9 + size].decode("utf-8"))
-        model = cls(order=payload["order"])
-        model.vocabulary = [_token_from_key(k) for k in payload["vocabulary"]]
-        for ctx_keys, table in payload["counts"]:
-            ctx = tuple(_token_from_key(k) for k in ctx_keys)
-            model.counts[ctx] = {_token_from_key(k): n for k, n in table.items()}
+        try:
+            payload = json.loads(blob[9 : 9 + size].decode("utf-8"))
+            model = cls(order=payload["order"])
+            model.vocabulary = [_token_from_key(k) for k in payload["vocabulary"]]
+            for ctx_keys, table in payload["counts"]:
+                ctx = tuple(_token_from_key(k) for k in ctx_keys)
+                model.counts[ctx] = {_token_from_key(k): n for k, n in table.items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ChordError(f"{path}: malformed model body: {exc!r}") from None
         return model
 
 

@@ -4,7 +4,6 @@ score assembly."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import random
@@ -63,8 +62,7 @@ class Engine:
 
         self.agents: list[MelodyAgent] = []
         for i in range(config.n_melody_agents):
-            params = dataclasses.replace(config.xcs)
-            population = XcsPopulation(params, random.Random(self.rng.randrange(2**32)))
+            population = XcsPopulation(config.xcs, random.Random(self.rng.randrange(2**32)))
             self.agents.append(MelodyAgent(i + 1, population,
                                            reward_gate=config.reward_gate,
                                            h_min=config.h_min))
@@ -157,9 +155,6 @@ class Engine:
             history + [first], self.config.style, 1)
         return [(first, 1), (second, 1)], (conf_first + conf_second) / 2.0
 
-    def _explore_prob(self) -> float:
-        return self.config.explore_prob * self.config.explore_decay ** self.cycle_index
-
     def composition_cycle(self, snapshot: AffectSnapshot,
                           theme_id: int) -> dict:
         """Compose one two-measure block; returns the decision log record.
@@ -173,17 +168,11 @@ class Engine:
         (the lowest voice) and the inner voices ascending each propose and
         settle; last, percussion doubles agent 2's onsets.
         """
-        if self.chord_model is None:
-            raise ConductorError("chord model not trained")
         config = self.config
         theme = self.themes.get(theme_id)
         n_agents = len(self.agents)
         span_limit = max_range(n_agents, config.style, config.range_factors)
         block_start = self.cycle_index * self.block_ticks
-        explore = self._explore_prob()
-        mode = "explore" if explore > 0 else "exploit"
-        for agent in self.agents:
-            agent.population.params.explore_prob = explore
 
         # harmony candidates, most likely first
         candidates: list[tuple[int, list[tuple[ChordSymbol, int]], float]] = []
@@ -199,7 +188,8 @@ class Engine:
 
         # the lead voice decides before leader election
         lead_agent = self.agents[0]
-        lead = lead_agent.prepare(theme, snapshot, theme_id, mode, apply_operator)
+        lead = lead_agent.prepare(theme, snapshot, theme_id, config.explore_prob,
+                                  apply_operator)
         melody_confidence = lead.estimated_reward / config.reward_max
         constraint1 = RangeConstraint(*config.agent_range(1))
         if isinstance(lead, Abstention) or harmony_confidence >= melody_confidence:
@@ -247,7 +237,7 @@ class Engine:
                 lo = max(lo, lower_anchor)
             proposal = agent.propose(theme, snapshot, theme_id, self.matrix,
                                      config.style, n_agents, RangeConstraint(lo, hi),
-                                     mode, apply_operator)
+                                     config.explore_prob, apply_operator)
             record, notes = self._settle(agent, proposal, snapshot, block_start)
             agent_records.append(record)
             if notes:
@@ -312,8 +302,7 @@ class Engine:
         for note in realized.notes:
             track.notes.append(ScoreNote(note.pitch, block_start + note.onset,
                                          note.duration, note.velocity))
-        raw_reward, features = realize_reward(
-            snapshot, realized, config.tempo_bpm, config.normalize_happiness)
+        raw_reward, features = realize_reward(snapshot, realized, config.tempo_bpm)
         agent.population.update(outcome.action_set,
                                 min(config.reward_max, max(0.0, raw_reward)))
         return {

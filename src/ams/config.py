@@ -3,6 +3,7 @@ key-value config file format (dotted keys, unknown keys are errors)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -10,7 +11,7 @@ from typing import ClassVar
 from .chord_model import STYLES
 from .context_graph import GraphParams
 from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
-from .render import BEATS_PER_MEASURE
+from .render import BEATS_PER_MEASURE, MIN_TEMPO_BPM
 from .xcs import XcsParams
 
 ASSET_ROOT = Path(__file__).parent / "assets"
@@ -42,9 +43,7 @@ class EngineConfig:
     top_chord_ranks: int = 8
     chord_order: int = 3
     default_theme: int = 0
-    normalize_happiness: bool = True
     explore_prob: float = 0.1
-    explore_decay: float = 1.0  # per-cycle multiplier on explore_prob
     osc_port: int = 5005
     osc_host: str = "127.0.0.1"
     theme_dir: str | None = None        # None -> bundled demo themes
@@ -60,8 +59,8 @@ class EngineConfig:
             raise ConfigError(f"unknown style {self.style!r}")
         if self.n_melody_agents < 1:
             raise ConfigError("need at least one melody agent")
-        if self.tempo_bpm <= 0:
-            raise ConfigError("tempo must be positive")
+        if self.tempo_bpm < MIN_TEMPO_BPM:
+            raise ConfigError(f"tempo must be at least {MIN_TEMPO_BPM:.2f} bpm")
         if not 0.0 <= self.reward_gate <= self.reward_max:
             raise ConfigError("reward gate outside valid range")
         if not 0.0 <= self.h_min <= 1.0:
@@ -77,53 +76,80 @@ class EngineConfig:
         return Path(self.theme_dir) if self.theme_dir else ASSET_ROOT / "themes"
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() in ("true", "yes", "1", "on"):
-        return True
-    if value.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {value!r}")
+def _finite_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
 
 
 # key -> (target, attribute, parser); target "" = EngineConfig itself
 _KEYS: dict[str, tuple[str, str, object]] = {
-    "engine.tempo_bpm": ("", "tempo_bpm", float),
+    "engine.tempo_bpm": ("", "tempo_bpm", _finite_float),
     "engine.style": ("", "style", str),
     "engine.melody_agents": ("", "n_melody_agents", int),
     "engine.seed": ("", "seed", int),
     "engine.tick_ms": ("", "tick_ms", int),
-    "engine.reward_gate": ("", "reward_gate", float),
-    "engine.h_min": ("", "h_min", float),
-    "engine.reward_max": ("", "reward_max", float),
+    "engine.reward_gate": ("", "reward_gate", _finite_float),
+    "engine.h_min": ("", "h_min", _finite_float),
+    "engine.reward_max": ("", "reward_max", _finite_float),
     "engine.top_chord_ranks": ("", "top_chord_ranks", int),
     "engine.chord_order": ("", "chord_order", int),
     "engine.default_theme": ("", "default_theme", int),
-    "engine.normalize_happiness": ("", "normalize_happiness", _parse_bool),
-    "engine.explore_prob": ("", "explore_prob", float),
-    "engine.explore_decay": ("", "explore_decay", float),
+    "engine.explore_prob": ("", "explore_prob", _finite_float),
     "engine.osc_port": ("", "osc_port", int),
     "engine.osc_host": ("", "osc_host", str),
     "engine.theme_dir": ("", "theme_dir", str),
     "engine.chord_model": ("", "chord_model_path", str),
-    "graph.vertex_fade_per_s": ("graph", "vertex_fade_per_s", float),
-    "graph.edge_fade_per_s": ("graph", "edge_fade_per_s", float),
-    "graph.inferred_edge_weight": ("graph", "inferred_edge_weight", float),
-    "graph.co_activation_boost": ("graph", "co_activation_boost", float),
+    "graph.vertex_fade_per_s": ("graph", "vertex_fade_per_s", _finite_float),
+    "graph.edge_fade_per_s": ("graph", "edge_fade_per_s", _finite_float),
+    "graph.inferred_edge_weight": ("graph", "inferred_edge_weight", _finite_float),
+    "graph.co_activation_boost": ("graph", "co_activation_boost", _finite_float),
     "xcs.population_cap": ("xcs", "population_cap", int),
-    "xcs.learning_rate": ("xcs", "learning_rate", float),
-    "xcs.error_threshold": ("xcs", "error_threshold", float),
-    "xcs.accuracy_power": ("xcs", "accuracy_power", float),
-    "xcs.accuracy_scale": ("xcs", "accuracy_scale", float),
-    "xcs.ga_threshold": ("xcs", "ga_threshold", float),
-    "xcs.crossover_prob": ("xcs", "crossover_prob", float),
-    "xcs.mutation_prob": ("xcs", "mutation_prob", float),
-    "xcs.wildcard_prob": ("xcs", "wildcard_prob", float),
+    "xcs.learning_rate": ("xcs", "learning_rate", _finite_float),
+    "xcs.error_threshold": ("xcs", "error_threshold", _finite_float),
+    "xcs.accuracy_power": ("xcs", "accuracy_power", _finite_float),
+    "xcs.accuracy_scale": ("xcs", "accuracy_scale", _finite_float),
+    "xcs.ga_threshold": ("xcs", "ga_threshold", _finite_float),
+    "xcs.crossover_prob": ("xcs", "crossover_prob", _finite_float),
+    "xcs.mutation_prob": ("xcs", "mutation_prob", _finite_float),
+    "xcs.wildcard_prob": ("xcs", "wildcard_prob", _finite_float),
     "xcs.deletion_threshold": ("xcs", "deletion_threshold", int),
-    "xcs.init_prediction": ("xcs", "init_prediction", float),
-    "xcs.init_error": ("xcs", "init_error", float),
-    "xcs.init_fitness": ("xcs", "init_fitness", float),
+    "xcs.init_prediction": ("xcs", "init_prediction", _finite_float),
+    "xcs.init_error": ("xcs", "init_error", _finite_float),
+    "xcs.init_fitness": ("xcs", "init_fitness", _finite_float),
     "xcs.subsumption_experience": ("xcs", "subsumption_experience", int),
 }
+
+
+def _apply(config: EngineConfig, key: str, value: str) -> None:
+    """Set one `key = value` line on config; a malformed value raises
+    ValueError."""
+    if key.startswith("style.range_factor."):
+        style = key.rsplit(".", 1)[1]
+        if style not in STYLES:
+            raise ConfigError(f"unknown style {style!r}")
+        factor = _finite_float(value)
+        if factor <= 0:
+            raise ConfigError(f"range factor for {style} must be positive")
+        config.range_factors[style] = factor
+        return
+    if key.startswith("melody.range."):
+        agent_id = int(key.rsplit(".", 1)[1])
+        lo, _, hi = value.partition(":")
+        lo, hi = int(lo), int(hi)
+        if not 0 <= lo <= hi <= 127:
+            raise ConfigError(f"{key} needs lo:hi with 0 <= lo <= hi <= 127")
+        config.agent_ranges[agent_id] = (lo, hi)
+        return
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    target, attribute, parser = _KEYS[key]
+    parsed = parser(value)
+    if target == "":
+        setattr(config, attribute, parsed)
+    else:
+        setattr(getattr(config, target), attribute, parsed)
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> EngineConfig:
@@ -138,34 +164,17 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> EngineConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = key.strip(), value.strip()
-        if key.startswith("style.range_factor."):
-            style = key.rsplit(".", 1)[1]
-            if style not in STYLES:
-                raise ConfigError(f"line {lineno}: unknown style {style!r}")
-            config.range_factors[style] = float(value)
-            continue
-        if key.startswith("melody.range."):
-            agent_id = int(key.rsplit(".", 1)[1])
-            lo, _, hi = value.partition(":")
-            config.agent_ranges[agent_id] = (int(lo), int(hi))
-            continue
-        if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        target, attribute, parser = _KEYS[key]
         try:
-            parsed = parser(value)
-        except (ValueError, ConfigError) as exc:
+            _apply(config, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-        if target == "":
-            setattr(config, attribute, parsed)
-        else:
-            setattr(getattr(config, target), attribute, parsed)
     if base_dir is not None:
         for attribute in ("theme_dir", "chord_model_path"):
             value = getattr(config, attribute)
             if value is not None and not Path(value).is_absolute():
                 setattr(config, attribute, str(base_dir / value))
-    config.xcs.explore_prob = config.explore_prob
     config.__post_init__()
     return config
 

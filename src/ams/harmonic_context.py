@@ -133,12 +133,3 @@ class ResourceMatrix:
             self.cells[(pc - 1) % 12, col] *= 0.5
             self.cells[(pc + 6) % 12, col] *= 0.5
         self.cells[rows, cols] = 0.0
-
-    def dump_csv(self) -> str:
-        """CSV dump of the matrix, row order C..B, for golden tests."""
-        lines = []
-        names = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
-        for row, name in enumerate(names):
-            values = ",".join(f"{v:.4f}" for v in self.cells[row])
-            lines.append(f"{name},{values}")
-        return "\n".join(lines)

@@ -202,12 +202,11 @@ def compute_features(fragment: MelodicFragment, tempo_bpm: float) -> FragmentFea
     )
 
 
-def reward(snapshot: AffectSnapshot, features: FragmentFeatures,
-           normalize_happiness: bool = True) -> float:
+def reward(snapshot: AffectSnapshot, features: FragmentFeatures) -> float:
     """Affect-conditioned reward over fragment features.
 
     Happiness is compared against the diatonic fraction; activations are
-    0-100 while d is 0-1, so happiness is divided by 100 (toggleable).
+    0-100 while d is 0-1, so happiness is divided by 100.
     """
     h, e, s, te, th = (snapshot.happiness, snapshot.excitement,
                        snapshot.sadness, snapshot.tenderness, snapshot.threat)
@@ -215,9 +214,8 @@ def reward(snapshot: AffectSnapshot, features: FragmentFeatures,
     d = features.diatonic_fraction
     p_bar = features.mean_interval
     tempo_term = (n_s - 0.5) / 25.0
-    h_term = h / 100.0 if normalize_happiness else h
     r_e = 0.2 - abs(e / 500.0 - tempo_term)
-    r_h = 0.2 - abs(h_term - d)
+    r_h = 0.2 - abs(h / 100.0 - d)
     r_s = abs(s / 500.0 - tempo_term)
     r_te = abs(te / 500.0 - tempo_term)
     r_th = 0.2 - abs(th / 500.0 - (p_bar / 6.0) / 5.0)
@@ -348,11 +346,11 @@ class MelodyAgent:
     h_min: float = DEFAULT_H_MIN
 
     def decide(self, snapshot: AffectSnapshot, theme_id: int,
-               mode: str = "exploit") -> tuple[int, float, list]:
+               explore_prob: float = 0.0) -> tuple[int, float, list]:
         """Run the XCS step: returns (operator, estimated reward, action set)."""
         bits = encode_environment(snapshot, theme_id)
         match_set = self.population.match_set(bits)
-        action, prediction = self.population.select_action(match_set, mode)
+        action, prediction = self.population.select_action(match_set, explore_prob)
         return action, prediction, self.population.action_set(match_set, action)
 
     def search_placement(self, fragment: MelodicFragment, matrix: ResourceMatrix,
@@ -394,11 +392,11 @@ class MelodyAgent:
         return best[1], best[2], best[3]
 
     def prepare(self, theme: MelodicFragment, snapshot: AffectSnapshot,
-                theme_id: int, mode: str = "exploit",
+                theme_id: int, explore_prob: float = 0.0,
                 operate=apply_operator) -> Proposal | Abstention:
         """The turn up to the search: decide, then the reward gate, then the
         operator.  `operate(theme, operator)` applies the operator."""
-        operator, prediction, action_set = self.decide(snapshot, theme_id, mode)
+        operator, prediction, action_set = self.decide(snapshot, theme_id, explore_prob)
         if prediction <= self.reward_gate:
             return Abstention("gate", operator, action_set, prediction)
         try:
@@ -410,10 +408,10 @@ class MelodyAgent:
     def propose(self, theme: MelodicFragment, snapshot: AffectSnapshot,
                 theme_id: int, matrix: ResourceMatrix, style: str,
                 n_agents: int, constraint: RangeConstraint,
-                mode: str = "exploit", operate=apply_operator) -> Proposal | Abstention:
+                explore_prob: float = 0.0, operate=apply_operator) -> Proposal | Abstention:
         """Full agent turn on one matrix; an Abstention carries why the agent
         sat out."""
-        proposal = self.prepare(theme, snapshot, theme_id, mode, operate)
+        proposal = self.prepare(theme, snapshot, theme_id, explore_prob, operate)
         if isinstance(proposal, Abstention):
             return proposal
         return proposal.placed(self.search_placement(
@@ -428,12 +426,11 @@ def placed_fragment(placement: Placement) -> MelodicFragment:
 
 
 def realize_reward(snapshot: AffectSnapshot, realized: MelodicFragment,
-                   tempo_bpm: float,
-                   normalize_happiness: bool = True) -> tuple[float, FragmentFeatures]:
+                   tempo_bpm: float) -> tuple[float, FragmentFeatures]:
     """Reward of a placed fragment (see `placed_fragment`) at the actual
     tempo, for the XCS update."""
     features = compute_features(realized, tempo_bpm)
-    return reward(snapshot, features, normalize_happiness), features
+    return reward(snapshot, features), features
 
 
 # ---------------------------------------------------------------------------

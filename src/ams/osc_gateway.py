@@ -27,7 +27,6 @@ AFFECT_CATEGORIES = ("happiness", "excitement", "anger", "sadness", "tenderness"
 
 THEME_IDS = 64  # theme ids 0..63: the classifier context encodes one in 6 bits
 
-DEFAULT_PORT = 5005
 QUEUE_CAPACITY = 65536
 MAX_BUNDLE_DEPTH = 16
 
@@ -342,7 +341,7 @@ class MessageQueue:
 class OscServer:
     """UDP receiver decoding datagrams into a MessageQueue on its own thread."""
 
-    def __init__(self, queue: MessageQueue, port: int = DEFAULT_PORT, host: str = "127.0.0.1"):
+    def __init__(self, queue: MessageQueue, port: int, host: str):
         self.queue = queue
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, port))

@@ -16,6 +16,8 @@ BLOCK_MEASURES = 2  # one composition cycle and one percussion phrase
 BLOCK_TICKS = BLOCK_MEASURES * MEASURE_TICKS
 
 PERCUSSION_CHANNEL = 9  # MIDI channel 10, zero-based
+# the slowest tempo an SMF set-tempo event holds: 24-bit microseconds per quarter
+MIN_TEMPO_BPM = 60_000_000 / 0xFFFFFF
 
 
 class RenderError(ValueError):
@@ -204,9 +206,6 @@ class VirtualClock:
     def sleep_until(self, t: float) -> None:
         if t > self._now:
             self._now = t
-
-    def advance(self, dt: float) -> None:
-        self._now += dt
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Theme library: directory of text theme files, one fragment per file.
 
-File format (stable field order, canonical for hashing):
+File format:
 
     theme_id: 3
     key: C major
@@ -13,24 +13,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .chord_model import PITCH_CLASS_NAMES, _ROOTS
+from .chord_model import _ROOTS
 from .melody import Key, MelodicFragment, MelodyError, Note
 from .osc_gateway import THEME_IDS
 
 
 class ThemeError(ValueError):
     pass
-
-
-def serialize_theme(theme_id: int, fragment: MelodicFragment) -> str:
-    lines = [
-        f"theme_id: {theme_id}",
-        f"key: {PITCH_CLASS_NAMES[fragment.key.tonic]} {fragment.key.mode}",
-        f"length_measures: {fragment.length_measures}",
-    ]
-    for n in fragment.notes:
-        lines.append(f"note: {n.pitch} {n.onset} {n.duration} {n.velocity}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragment]:

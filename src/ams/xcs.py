@@ -9,9 +9,7 @@ population cap.
 
 from __future__ import annotations
 
-import json
 import random
-import struct
 from dataclasses import dataclass
 
 CONDITION_LENGTH = 18
@@ -34,7 +32,6 @@ class XcsParams:
     mutation_prob: float = 0.04         # mu, per condition symbol
     wildcard_prob: float = 0.33         # P# during covering
     deletion_threshold: int = 20        # theta_del
-    explore_prob: float = 0.1           # epsilon_explore
     min_actions: int = 8                # theta_mna: cover until this many actions
     n_actions: int = 8
     init_prediction: float = 0.01
@@ -72,7 +69,8 @@ class Classifier:
 
 
 class XcsPopulation:
-    """One rule population; owned by a single melody agent."""
+    """One rule population; owned by a single melody agent.  The params
+    are only read, so populations may share one XcsParams."""
 
     def __init__(self, params: XcsParams | None = None,
                  rng: random.Random | None = None):
@@ -133,16 +131,17 @@ class XcsPopulation:
         return {a: sums[a] / weights[a] if weights[a] > 0 else 0.0 for a in sums}
 
     def select_action(self, match_set: list[Classifier],
-                      mode: str = "exploit") -> tuple[int, float]:
+                      explore_prob: float = 0.0) -> tuple[int, float]:
         """Pick an action and return it with its system prediction.
 
-        exploit: argmax system prediction, ties to the lowest action id.
-        explore: with probability explore_prob a uniform random action.
+        With probability explore_prob a uniform random action, otherwise
+        the argmax system prediction, ties to the lowest action id.  The
+        RNG is drawn only when explore_prob > 0.
         """
         if not match_set:
             raise XcsError("empty match set")
         predictions = self.system_predictions(match_set)
-        if mode == "explore" and self.rng.random() < self.params.explore_prob:
+        if explore_prob > 0 and self.rng.random() < explore_prob:
             action = self.rng.choice(sorted(predictions))
         else:
             action = min(predictions, key=lambda a: (-predictions[a], a))
@@ -282,48 +281,3 @@ class XcsPopulation:
                 if cl.numerosity == 0:
                     self.classifiers.remove(cl)
                 return
-
-    # -- persistence --------------------------------------------------------
-
-    MAGIC = b"AMSX"
-    VERSION = 1
-
-    def save(self, path) -> None:
-        payload = {
-            "time": self.time,
-            "classifiers": [
-                [cl.condition, cl.action, cl.prediction, cl.error, cl.fitness,
-                 cl.experience, cl.numerosity, cl.action_set_size, cl.ga_timestamp]
-                for cl in self.classifiers
-            ],
-        }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC + struct.pack(">BI", self.VERSION, len(body)) + body)
-
-    @classmethod
-    def load(cls, path, params: XcsParams | None = None,
-             rng: random.Random | None = None) -> "XcsPopulation":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != cls.MAGIC:
-            raise XcsError(f"{path}: not an XCS population file")
-        version, size = struct.unpack_from(">BI", blob, 4)
-        if version != cls.VERSION:
-            raise XcsError(f"{path}: unsupported population version {version}")
-        payload = json.loads(blob[9 : 9 + size].decode("utf-8"))
-        population = cls(params, rng)
-        population.time = payload["time"]
-        for row in payload["classifiers"]:
-            population.classifiers.append(Classifier(*row))
-        return population
-
-    def dump_text(self) -> str:
-        """One macro-classifier per line, for inspection."""
-        lines = []
-        for cl in sorted(self.classifiers, key=lambda c: (c.action, c.condition)):
-            lines.append(
-                f"{cl.condition} -> {cl.action}  p={cl.prediction:.4f} "
-                f"eps={cl.error:.4f} F={cl.fitness:.4f} exp={cl.experience} "
-                f"num={cl.numerosity}")
-        return "\n".join(lines)

@@ -194,16 +194,15 @@ def test_08_environment_encoding():
 
 
 def test_09_xcs_convergence():
-    params = XcsParams(explore_prob=0.25)
-    pop = XcsPopulation(params, random.Random(11))
+    pop = XcsPopulation(XcsParams(), random.Random(11))
     bits = "010010110001000011"
     for _ in range(4000):
         match = pop.match_set(bits)
-        action, _ = pop.select_action(match, "explore")
+        action, _ = pop.select_action(match, 0.25)
         pop.update(pop.action_set(match, action), 0.1 * action)
     for _ in range(1000):
         match = pop.match_set(bits)
-        action, prediction = pop.select_action(match, "exploit")
+        action, prediction = pop.select_action(match)
         assert action == 7
         assert abs(prediction - 0.7) < 0.05
         pop.update(pop.action_set(match, action), 0.7)

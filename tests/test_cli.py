@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,14 @@ def test_validate_config_invalid(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["melody.range.x = 1:2", "engine.tempo_bpm = nan"])
+def test_malformed_config_value_exits_usage(line, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["validate-config", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("invalid: line 1: ")
+
+
 def test_validate_config_missing_file(capsys):
     assert main(["validate-config", "/nonexistent.cfg"]) == EXIT_USAGE
 
@@ -207,14 +216,32 @@ GOLDEN_REPLAYS = {
 }
 
 
-@pytest.mark.parametrize("trace", sorted(GOLDEN_REPLAYS))
-def test_replay_output_matches_golden_digests(trace, tmp_path):
+# the same for mixed_session with demo.cfg plus `engine.explore_prob = 0.3`,
+# so the XCS exploration draw is pinned too
+GOLDEN_EXPLORING_REPLAY = (
+    "9f958544452b51d97b4f51f4e582d819c6b39c0d6ef3cf81a5ff73c7a8e1d1de",
+    "87032b679cf2fb1b4d39ec35321edf4af393676ad457203a39e03c66a112352f",
+    "fa317d5d67cb200f8282b88701819a00e0473ec614c9c3c1c58bfd52edee443a",
+)
+
+
+def _replay_digests(trace, config, tmp_path) -> tuple[str, str, str]:
     paths = [tmp_path / "out.mid", tmp_path / "cycles.jsonl", tmp_path / "score.jsonl"]
     assert main(["replay", str(ASSET_ROOT / "traces" / f"{trace}.jsonl"),
-                 "--config", str(ASSET_ROOT / "demo.cfg"), "--out", str(paths[0]),
+                 "--config", str(config), "--out", str(paths[0]),
                  "--cycle-log", str(paths[1]), "--score-log", str(paths[2])]) == EXIT_OK
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
-    assert digests == GOLDEN_REPLAYS[trace]
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+
+
+@pytest.mark.parametrize("trace", sorted(GOLDEN_REPLAYS))
+def test_replay_output_matches_golden_digests(trace, tmp_path):
+    assert _replay_digests(trace, ASSET_ROOT / "demo.cfg", tmp_path) == GOLDEN_REPLAYS[trace]
+
+
+def test_exploring_replay_matches_golden_digests(tmp_path):
+    config = tmp_path / "explore.cfg"
+    config.write_text((ASSET_ROOT / "demo.cfg").read_text() + "engine.explore_prob = 0.3\n")
+    assert _replay_digests("mixed_session", config, tmp_path) == GOLDEN_EXPLORING_REPLAY
 
 
 def test_replay_bad_trace_exits_runtime(tmp_path, capsys):
@@ -248,6 +275,22 @@ def test_replay_bad_theme_file_exits_runtime(tmp_path, capsys):
     assert main(["replay", str(trace), "--config", str(config)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith(f"error: {themes / 'bad.theme'}:1: theme_id must be an integer")
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"AMSC\x01", "truncated model header"),
+    (b"AMSC" + struct.pack(">BI", 1, 9) + b"{not json", "malformed model body"),
+    (b"AMSC" + struct.pack(">BI", 1, 2) + b"{}", "malformed model body: KeyError"),
+], ids=["short-header", "bad-json", "no-order"])
+def test_replay_corrupt_chord_model_exits_runtime(blob, message, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    model = tmp_path / "chords.model"
+    model.write_bytes(blob)
+    config = tmp_path / "model.cfg"
+    config.write_text("engine.chord_model = chords.model\n")
+    assert main(["replay", str(trace), "--config", str(config)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {model}: {message}")
 
 
 def test_train_chords_writes_model(tmp_path, capsys):

@@ -1,8 +1,18 @@
 """Config file parsing and validation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ams.config import ASSET_ROOT, ConfigError, EngineConfig, load_config, parse_config_text
+from ams.chord_model import STYLES
+from ams.config import (
+    ASSET_ROOT,
+    ConfigError,
+    EngineConfig,
+    _KEYS,
+    load_config,
+    parse_config_text,
+)
 
 
 def test_defaults_are_valid():
@@ -25,8 +35,7 @@ def test_parse_engine_and_nested_sections():
     assert config.seed == 42
     assert config.graph.vertex_fade_per_s == 0.2
     assert config.xcs.population_cap == 500
-    # the explore probability propagates into the classifier params
-    assert config.xcs.explore_prob == 0.25
+    assert config.explore_prob == 0.25
 
 
 def test_comments_and_blanks_ok():
@@ -93,3 +102,64 @@ def test_bundled_demo_configs_parse():
     for name in ("demo.cfg", "sadness.cfg"):
         config = load_config(ASSET_ROOT / name)
         assert config.n_melody_agents >= 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("melody.range.x = 1:2", "line 1: bad value for melody.range.x"),
+    ("melody.range.1 = 60", "line 1: bad value for melody.range.1"),
+    ("melody.range.1 = 90:60", "0 <= lo <= hi <= 127"),
+    ("melody.range.1 = -1:60", "0 <= lo <= hi <= 127"),
+    ("melody.range.1 = 60:128", "0 <= lo <= hi <= 127"),
+    ("style.range_factor.jazz = abc", "line 1: bad value for style.range_factor.jazz"),
+    ("style.range_factor.jazz = nan", "not a finite number"),
+    ("style.range_factor.jazz = 0", "must be positive"),
+    ("engine.tempo_bpm = nan", "line 1: bad value for engine.tempo_bpm: not a finite number"),
+    ("engine.tempo_bpm = inf", "not a finite number"),
+    # below ~3.58 bpm the SMF tempo field overflows, and a tiny tempo
+    # stretches a replay past any practical length
+    ("engine.tempo_bpm = 1", "tempo must be at least 3.58 bpm"),
+    ("engine.tempo_bpm = 1e-300", "tempo must be at least"),
+    ("engine.tempo_bpm = 0", "tempo must be at least"),
+    ("engine.explore_prob = -inf", "not a finite number"),
+    ("xcs.learning_rate = 1e999", "not a finite number"),
+])
+def test_malformed_values_rejected_at_parse_time(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(line + "\n")
+
+
+def test_pitch_range_bounds_inclusive_and_no_tempo_ceiling():
+    config = parse_config_text("melody.range.1 = 0:127\nmelody.range.2 = 64:64\n"
+                               "engine.tempo_bpm = 600\n")
+    assert config.agent_range(1) == (0, 127)
+    assert config.agent_range(2) == (64, 64)
+    assert config.tempo_bpm == 600.0
+
+
+_values = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "true", "", ":", "1:", ":2"]),
+    st.tuples(st.integers(-200, 300), st.integers(-200, 300)).map(lambda p: f"{p[0]}:{p[1]}"),
+)
+_config_keys = st.one_of(
+    st.sampled_from(sorted(_KEYS)),
+    st.one_of(st.sampled_from(STYLES), st.text(max_size=6)).map(
+        lambda s: "style.range_factor." + s),
+    st.one_of(st.integers(-3, 9).map(str), st.text(max_size=4)).map(
+        lambda s: "melody.range." + s),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_config_keys, _values), max_size=6))
+@example([("melody.range.x", "1:2")])
+@example([("melody.range.1", "60")])
+@example([("style.range_factor.jazz", "abc")])
+def test_arbitrary_config_lines_raise_only_config_error(lines):
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass

@@ -138,11 +138,3 @@ def test_brute_force_oracle_small():
                 count += 1
         assert m.harmonic_fitness(Placement(f, trans, shift)) == pytest.approx(
             total / count, abs=1e-12)
-
-
-def test_dump_csv_shape():
-    m = ResourceMatrix()
-    lines = m.dump_csv().splitlines()
-    assert len(lines) == 12
-    assert lines[0].startswith("C,")
-    assert len(lines[0].split(",")) == 65

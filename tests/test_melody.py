@@ -119,10 +119,11 @@ def test_off_beat_start_flag():
 def test_reward_happiness_normalization_toggle():
     f = frag([(60, 0, 480), (62, 480, 480)])
     feats = compute_features(f, 120.0)
-    snap = AffectSnapshot(happiness=100.0)
-    normalized = reward(snap, feats, normalize_happiness=True)
-    raw = reward(snap, feats, normalize_happiness=False)
-    assert normalized > raw  # |1.0 - d| is much smaller than |100 - d|
+    # activations are 0-100 while d is 0-1: with d = 1, happiness 100
+    # scores |1.0 - d| = 0, a full point above happiness 0
+    happy = reward(AffectSnapshot(happiness=100.0), feats)
+    neutral = reward(AffectSnapshot(), feats)
+    assert happy - neutral == pytest.approx(1.0)
 
 
 def test_reward_prefers_matching_density():

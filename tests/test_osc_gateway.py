@@ -145,7 +145,7 @@ def test_queue_drops_oldest():
 def _send_and_receive(datagrams: list[bytes]) -> list:
     """Send datagrams to a live server; return what it queued within 2 s."""
     q = MessageQueue()
-    server = OscServer(q, port=0)
+    server = OscServer(q, port=0, host="127.0.0.1")
     server.start()
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

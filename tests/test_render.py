@@ -3,6 +3,7 @@
 import pytest
 
 from ams.render import (
+    MIN_TEMPO_BPM,
     RenderError,
     Score,
     ScoreNote,
@@ -46,6 +47,11 @@ def test_round_trip():
         assert parsed_track.channel == original.channel
         assert sorted(parsed_track.notes, key=lambda n: (n.onset, n.pitch)) == \
             sorted(original.notes, key=lambda n: (n.onset, n.pitch))
+
+
+def test_slowest_configurable_tempo_round_trips():
+    score = Score(tempo_bpm=MIN_TEMPO_BPM, tracks=sample_score().tracks)
+    assert read_midi_bytes(score_to_midi_bytes(score)).tempo_bpm == pytest.approx(MIN_TEMPO_BPM)
 
 
 def test_bytes_are_deterministic():

@@ -1,10 +1,10 @@
-"""Theme file parsing, serialization and the id-keyed library."""
+"""Theme file parsing and the id-keyed library."""
 
 import pytest
 
 from ams.config import ASSET_ROOT
 from ams.melody import Key, MelodicFragment, Note
-from ams.themes import ThemeError, ThemeLibrary, parse_theme, serialize_theme
+from ams.themes import ThemeError, ThemeLibrary, parse_theme
 
 SAMPLE = """\
 theme_id: 3
@@ -24,9 +24,8 @@ def test_parse_basic():
 
 
 def test_round_trip():
-    theme_id, fragment = parse_theme(SAMPLE)
-    assert serialize_theme(theme_id, fragment) == SAMPLE
-    assert parse_theme(serialize_theme(theme_id, fragment)) == (theme_id, fragment)
+    assert parse_theme(SAMPLE) == (3, MelodicFragment(
+        (Note(60, 0, 480, 96), Note(62, 480, 480, 96)), 2, Key(0, "major")))
 
 
 def test_comments_and_blank_lines_ignored():

@@ -1,4 +1,4 @@
-"""Classifier system mechanics: covering, updates, GA, persistence."""
+"""Classifier system mechanics: covering, updates, GA, action selection."""
 
 import random
 
@@ -70,15 +70,25 @@ def test_exploit_breaks_ties_to_lowest_action():
     pop = make_pop()
     a = Classifier("#" * 18, 5, 0.7, 0.0, 0.5)
     b = Classifier("#" * 18, 1, 0.7, 0.0, 0.5)
-    action, _ = pop.select_action([a, b], "exploit")
+    action, _ = pop.select_action([a, b])
     assert action == 1
 
 
 def test_explore_uses_rng():
-    pop = make_pop(explore_prob=1.0)
+    pop = make_pop()
     cls = [Classifier("#" * 18, i, 0.1 * i, 0.0, 0.5) for i in range(8)]
-    actions = {pop.select_action(cls, "explore")[0] for _ in range(100)}
+    actions = {pop.select_action(cls, 1.0)[0] for _ in range(100)}
     assert len(actions) > 4
+
+
+def test_rng_is_drawn_only_when_exploring():
+    pop = make_pop()
+    cls = [Classifier("#" * 18, i, 0.1 * i, 0.0, 0.5) for i in range(8)]
+    state = pop.rng.getstate()
+    assert pop.select_action(cls, 0.0)[0] == 7
+    assert pop.rng.getstate() == state
+    pop.select_action(cls, 0.5)
+    assert pop.rng.getstate() != state
 
 
 def test_is_more_general():
@@ -95,7 +105,7 @@ def test_population_cap_enforced():
     for _ in range(300):
         bits = "".join(rng.choice("01") for _ in range(18))
         match = pop.match_set(bits)
-        action, _ = pop.select_action(match, "explore")
+        action, _ = pop.select_action(match, 0.1)
         pop.update(pop.action_set(match, action), rng.random())
     assert pop.total_numerosity <= 50
 
@@ -104,40 +114,8 @@ def test_ga_runs_and_subsumes():
     pop = make_pop(ga_threshold=5.0)
     for step in range(200):
         match = pop.match_set(BITS)
-        action, _ = pop.select_action(match, "explore")
+        action, _ = pop.select_action(match, 0.1)
         pop.update(pop.action_set(match, action), 0.1 * action)
     # stable rewards: population remains bounded and contains macroclassifiers
     assert pop.total_numerosity >= len(pop.classifiers)
     assert any(cl.numerosity > 1 for cl in pop.classifiers)
-
-
-def test_save_load_round_trip(tmp_path):
-    pop = make_pop()
-    for _ in range(30):
-        match = pop.match_set(BITS)
-        action, _ = pop.select_action(match, "explore")
-        pop.update(pop.action_set(match, action), 0.5)
-    path = tmp_path / "pop.bin"
-    pop.save(path)
-    loaded = XcsPopulation.load(path, pop.params)
-    assert loaded.time == pop.time
-    assert len(loaded.classifiers) == len(pop.classifiers)
-    for a, b in zip(loaded.classifiers, pop.classifiers):
-        assert (a.condition, a.action, a.prediction, a.numerosity) == \
-            (b.condition, b.action, b.prediction, b.numerosity)
-    assert path.read_bytes()[:4] == b"AMSX"
-
-
-def test_load_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"WHAT" + b"\x00" * 16)
-    with pytest.raises(XcsError):
-        XcsPopulation.load(path)
-
-
-def test_dump_text_sorted():
-    pop = make_pop()
-    pop.match_set(BITS)
-    lines = pop.dump_text().splitlines()
-    assert len(lines) == len(pop.classifiers)
-    assert all("->" in line for line in lines)
