@@ -42,7 +42,6 @@ QUALITIES = {
     "aug": (0, 4, 8),
     "sus4": (0, 5, 7),
 }
-_QUALITY_ORDER = tuple(QUALITIES)
 
 _SUFFIXES = {
     "": "maj", "maj": "maj", "M": "maj",

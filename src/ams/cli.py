@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .chord_model import (
@@ -132,9 +133,10 @@ def write_outputs(engine: Engine, args) -> None:
 
 def cmd_serve(args) -> int:
     config = load_config(args.config) if args.config else EngineConfig()
+    if args.port is not None:
+        config = replace(config, osc_port=args.port)  # validated like the config key
     engine = build_engine(config)
-    server = OscServer(engine.queue, port=args.port or config.osc_port,
-                       host=config.osc_host)
+    server = OscServer(engine.queue, port=config.osc_port, host=config.osc_host)
     server.start()
     print(f"listening on udp {config.osc_host}:{server.port}", flush=True)
     clock = RealClock()

@@ -11,6 +11,7 @@ from typing import ClassVar
 from .chord_model import STYLES
 from .context_graph import GraphParams
 from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
+from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, MIN_TEMPO_BPM
 from .xcs import XcsParams
 
@@ -67,6 +68,12 @@ class EngineConfig:
             raise ConfigError("h_min outside [0, 1]")
         if self.tick_ms <= 0:
             raise ConfigError("tick_ms must be positive")
+        if self.top_chord_ranks < 1 or self.chord_order < 1:
+            raise ConfigError("top_chord_ranks and chord_order must be >= 1")
+        if not 0 <= self.default_theme < THEME_IDS:
+            raise ConfigError(f"default_theme outside 0..{THEME_IDS - 1}")
+        if not 0 <= self.osc_port <= 65535:
+            raise ConfigError("osc_port outside 0..65535")
 
     def agent_range(self, agent_id: int) -> tuple[int, int]:
         return self.agent_ranges.get(agent_id, _default_agent_range(agent_id))

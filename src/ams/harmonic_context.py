@@ -113,17 +113,15 @@ class ResourceMatrix:
 
     # -- scoring and consumption --------------------------------------------
 
-    def harmonic_fitness(self, placement: Placement) -> float:
-        """Mean resource value over all inhabited cells."""
-        rows, cols = self.placement_cells(placement)
-        return float(self.cells[rows, cols].mean())
-
-    def fitness_by_transposition(self, placement: Placement) -> np.ndarray:
-        """Harmonic fitness for the placement at each of the 12 pitch-class
-        offsets added to its transposition (fitness is octave-invariant)."""
-        rows, cols = self.placement_cells(placement)
-        offsets = np.arange(12)[:, None]
-        return self.cells[(rows[None, :] + offsets) % 12, cols[None, :]].mean(axis=1)
+    def fitness_by_transposition(self, fragment: "MelodicFragment") -> np.ndarray:  # noqa: F821
+        """(shift x 12) harmonic-fitness grid: a row per time shift that fits the
+        active region, shift 0 first (none if it is longer); transposition t reads column t % 12."""
+        shifts = self.region_cells - -(-fragment.span_ticks // TICKS_PER_CELL) + 1
+        if shifts <= 0:
+            return np.empty((0, 12))
+        rows, cols = self.placement_cells(Placement(fragment, 0, 0))
+        pc = np.arange(12)[:, None]
+        return self.cells[(rows + pc) % 12, cols + np.arange(shifts)[:, None, None]].mean(axis=-1)
 
     def consume(self, placement: Placement) -> None:
         """Zero inhabited cells, halve semitone neighbors and the tritone."""

@@ -102,10 +102,6 @@ class MelodicFragment:
                       for n in self.notes)
         return replace(self, notes=notes, key=self.key.transposed(semitones))
 
-    def shifted(self, ticks: int) -> "MelodicFragment":
-        notes = tuple(replace(n, onset=n.onset + ticks) for n in self.notes)
-        return replace(self, notes=notes)
-
 
 def _length_from_span(span: int, fallback: int) -> int:
     if span <= 0:
@@ -356,40 +352,37 @@ class MelodyAgent:
     def search_placement(self, fragment: MelodicFragment, matrix: ResourceMatrix,
                          style: str, n_agents: int,
                          constraint: RangeConstraint) -> tuple[Placement, float, float] | None:
-        """Exhaustive transposition x time-shift search maximizing M = H + P.
+        """Exhaustive time-shift x transposition search maximizing M = H + P.
 
-        Returns (placement, H, P) or None when no placement satisfies the
+        Shifts ascend from 0 and, within each, allowed transpositions ascend;
+        the first maximum wins (strict >), which byte-identical replays depend
+        on.  Returns (placement, H, P), or None when no placement meets the
         range constraint and the harmonic-fitness floor.
         """
         if not fragment.notes:
             return None
-        span_cells = -(-fragment.span_ticks // TICKS_PER_CELL)
-        max_shift = matrix.region_cells - span_cells
-        if max_shift < 0:
-            return None
+        # P depends on tempo-free quantities only (n_b, o_b), so any tempo
+        # works here; a shift changes only o_b, the first onset's beat position
+        features = compute_features(fragment, 120.0)
+        p_by_off_beat = [style_score(replace(features, off_beat_start=o), style, n_agents)
+                         for o in (0, 1)]
         lo = min(n.pitch for n in fragment.notes)
         hi = max(n.pitch for n in fragment.notes)
 
-        best: tuple[float, Placement, float, float] | None = None
-        for shift in range(max_shift + 1):
-            base = Placement(fragment, 0, shift)
-            fitness_by_pc = matrix.fitness_by_transposition(base)
-            shifted = fragment.shifted(shift * TICKS_PER_CELL)
-            p_score = style_score(
-                compute_features(shifted, 120.0), style, n_agents)
-            # P depends on tempo-free quantities only (n_b, o_b), so any
-            # tempo works here
+        best: tuple[float, float, float, int, int] | None = None
+        for shift, fitness_by_pc in enumerate(matrix.fitness_by_transposition(fragment).tolist()):
+            off_beat = (fragment.notes[0].onset + shift * TICKS_PER_CELL) % TICKS_PER_QUARTER != 0
+            p_score = p_by_off_beat[off_beat]
             for transposition in range(-TRANSPOSITION_LIMIT, TRANSPOSITION_LIMIT + 1):
                 if not constraint.allows(lo + transposition, hi + transposition):
                     continue
-                h_score = float(fitness_by_pc[transposition % 12])
+                h_score = fitness_by_pc[transposition % 12]
                 m_score = h_score + p_score
                 if best is None or m_score > best[0]:
-                    best = (m_score, Placement(fragment, transposition, shift),
-                            h_score, p_score)
-        if best is None or best[2] < self.h_min:
+                    best = (m_score, h_score, p_score, transposition, shift)
+        if best is None or best[1] < self.h_min:
             return None
-        return best[1], best[2], best[3]
+        return Placement(fragment, best[3], best[4]), best[1], best[2]
 
     def prepare(self, theme: MelodicFragment, snapshot: AffectSnapshot,
                 theme_id: int, explore_prob: float = 0.0,
@@ -420,9 +413,9 @@ class MelodyAgent:
 
 def placed_fragment(placement: Placement) -> MelodicFragment:
     """The fragment with transposition and time shift applied."""
-    return (placement.fragment
-            .transposed(placement.transposition)
-            .shifted(placement.time_shift * TICKS_PER_CELL))
+    moved = placement.fragment.transposed(placement.transposition)
+    ticks = placement.time_shift * TICKS_PER_CELL
+    return replace(moved, notes=tuple(replace(n, onset=n.onset + ticks) for n in moved.notes))
 
 
 def realize_reward(snapshot: AffectSnapshot, realized: MelodicFragment,

@@ -155,6 +155,39 @@ def test_malformed_config_value_exits_usage(line, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid: line 1: ")
 
 
+def _record_server_ports(monkeypatch) -> list:
+    """Replace OscServer with a stand-in that records the port it is given
+    instead of binding a socket."""
+    ports = []
+
+    class Server:
+        def __init__(self, queue, port, host):
+            ports.append(port)
+            self.port = port
+
+        def start(self):
+            pass
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr("ams.cli.OscServer", Server)
+    return ports
+
+
+def test_serve_port_flag_zero_overrides_the_config_port(monkeypatch):
+    ports = _record_server_ports(monkeypatch)
+    assert main(["serve", "--port", "0", "--duration-s", "0"]) == EXIT_OK
+    assert ports == [0]
+
+
+def test_serve_port_out_of_range_exits_usage_before_binding(monkeypatch, capsys):
+    ports = _record_server_ports(monkeypatch)
+    assert main(["serve", "--port", "70000", "--duration-s", "0"]) == EXIT_USAGE
+    assert ports == []
+    assert capsys.readouterr().err == "config error: osc_port outside 0..65535\n"
+
+
 def test_validate_config_missing_file(capsys):
     assert main(["validate-config", "/nonexistent.cfg"]) == EXIT_USAGE
 

@@ -122,6 +122,13 @@ def test_bundled_demo_configs_parse():
     ("engine.tempo_bpm = 0", "tempo must be at least"),
     ("engine.explore_prob = -inf", "not a finite number"),
     ("xcs.learning_rate = 1e999", "not a finite number"),
+    # out-of-range values that used to fail only at run time, or at bind()
+    ("engine.top_chord_ranks = 0", "top_chord_ranks and chord_order must be >= 1"),
+    ("engine.chord_order = 0", "top_chord_ranks and chord_order must be >= 1"),
+    ("engine.default_theme = 99", "default_theme outside 0..63"),
+    ("engine.default_theme = -1", "default_theme outside 0..63"),
+    ("engine.osc_port = 70000", "osc_port outside 0..65535"),
+    ("engine.osc_port = -1", "osc_port outside 0..65535"),
 ])
 def test_malformed_values_rejected_at_parse_time(line, message):
     with pytest.raises(ConfigError, match=message):

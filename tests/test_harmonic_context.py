@@ -11,6 +11,7 @@ from ams.harmonic_context import (
     TICKS_PER_CELL,
 )
 from ams.melody import Key, MelodicFragment, Note
+from test_placement_equivalence import harmonic_fitness
 
 KEY = Key(0, "major")
 
@@ -66,17 +67,26 @@ def test_fitness_mean_of_two_equal_notes():
     m = ResourceMatrix()
     m.extend([(parse_chord("C"), 2)])
     f = frag([(60, 0, 480), (62, 480, 480)])  # C row 1.0, D row 0.3
-    assert m.harmonic_fitness(Placement(f, 0, 0)) == pytest.approx(0.65)
+    assert harmonic_fitness(m, Placement(f, 0, 0)) == pytest.approx(0.65)
 
 
 def test_fitness_by_transposition_octave_invariant():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
-    f = frag([(60, 0, 480)])
-    by_pc = m.fitness_by_transposition(Placement(f, 0, 0))
-    for t in range(-24, 25):
-        expected = by_pc[t % 12]
-        assert m.harmonic_fitness(Placement(f, t, 0)) == pytest.approx(float(expected))
+    m.extend([(parse_chord("C7"), 1), (parse_chord("E7"), 1)])
+    m.consume(Placement(frag([(64, 0, 960)]), 0, 12))
+    region_ticks = m.region_cells * TICKS_PER_CELL
+    cases = [
+        # an off-beat onset inside a cell: cells 1..7, 25 shifts
+        (frag([(60, 150, 480), (67, 630, 270)]), 25),
+        (frag([(60, 0, region_ticks)]), 1),  # exactly fills the region
+        (frag([(60, 0, region_ticks + 1)]), 0),  # one tick longer
+    ]
+    for f, shifts in cases:
+        grid = m.fitness_by_transposition(f)
+        assert grid.shape == (shifts, 12)
+        for shift, row in enumerate(grid):
+            for t in range(-24, 25):
+                assert row[t % 12] == harmonic_fitness(m, Placement(f, t, shift))
 
 
 def test_placement_outside_region_raises():
@@ -108,9 +118,9 @@ def test_consume_then_refitness_drops():
     m.extend([(parse_chord("C"), 2)])
     f = frag([(60, 0, 960)])
     placement = Placement(f, 0, 0)
-    before = m.harmonic_fitness(placement)
+    before = harmonic_fitness(m, placement)
     m.consume(placement)
-    assert m.harmonic_fitness(placement) == 0.0
+    assert harmonic_fitness(m, placement) == 0.0
     assert before > 0.0
 
 
@@ -136,5 +146,5 @@ def test_brute_force_oracle_small():
             for cell in m.note_cells(n.onset, n.duration):
                 total += m.cells[pc, 32 + shift + cell]
                 count += 1
-        assert m.harmonic_fitness(Placement(f, trans, shift)) == pytest.approx(
+        assert harmonic_fitness(m, Placement(f, trans, shift)) == pytest.approx(
             total / count, abs=1e-12)
