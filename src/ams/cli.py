@@ -103,13 +103,15 @@ def bundled_corpus() -> list[Token]:
 
 
 def load_chord_model(config: EngineConfig) -> ChordSequenceModel:
-    if config.chord_model_path is not None:
-        return ChordSequenceModel.load(config.chord_model_path)
+    if config.chord_model is not None:
+        return ChordSequenceModel.load(config.chord_model)
     return train(bundled_corpus(), order=config.chord_order)
 
 
 def build_engine(config: EngineConfig) -> Engine:
     themes = ThemeLibrary.load_dir(config.theme_path)
+    if config.default_theme not in themes:
+        raise ThemeError(f"default_theme {config.default_theme} is not in {config.theme_path}")
     model = load_chord_model(config)
     return Engine(config, themes, model)
 
@@ -200,7 +202,7 @@ def cmd_validate_config(args) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"ok: style={config.style} tempo={config.tempo_bpm} "
-          f"agents={config.n_melody_agents} seed={config.seed}")
+          f"agents={config.melody_agents} seed={config.seed}")
     return EXIT_OK
 
 
@@ -301,10 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score-log", help="write per-note JSON lines")
     p.set_defaults(func=cmd_replay)
 
+    def order(value: str) -> int:  # checked before any corpus is read
+        if int(value) < 1:
+            raise argparse.ArgumentTypeError(f"order must be >= 1, got {value}")
+        return int(value)
+
     p = sub.add_parser("train-chords", help="train the next-chord model")
     p.add_argument("corpus", nargs="*",
                    help="style:path chord chart files (default: bundled corpora)")
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=order, default=3)
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train_chords)
 

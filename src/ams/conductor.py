@@ -61,7 +61,7 @@ class Engine:
         self.evolution_rng = random.Random(self.rng.randrange(2**32))
 
         self.agents: list[MelodyAgent] = []
-        for i in range(config.n_melody_agents):
+        for i in range(config.melody_agents):
             population = XcsPopulation(config.xcs, random.Random(self.rng.randrange(2**32)))
             self.agents.append(MelodyAgent(i + 1, population,
                                            reward_gate=config.reward_gate,
@@ -78,16 +78,13 @@ class Engine:
 
         self.melody_tracks = [
             Track(name=f"melody-{i + 1}", channel=self._channel(i))
-            for i in range(config.n_melody_agents)
+            for i in range(config.melody_agents)
         ]
         self.percussion_track = Track(name="percussion", channel=PERCUSSION_CHANNEL)
 
     @staticmethod
     def _channel(index: int) -> int:
-        channel = index
-        if channel >= PERCUSSION_CHANNEL:
-            channel += 1  # channel 10 is reserved for percussion
-        return channel % 16
+        return index + 1 if index >= PERCUSSION_CHANNEL else index  # skip percussion's
 
     # -- timing -------------------------------------------------------------
 

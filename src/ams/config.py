@@ -1,10 +1,11 @@
 """Engine configuration: dataclass of every tunable constant plus a flat
-key-value config file format (dotted keys, unknown keys are errors)."""
+key-value config file format.  A key is `<section>.<field>`, named after a
+scalar field of the section's dataclass; unknown keys are errors."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -12,8 +13,8 @@ from .chord_model import STYLES
 from .context_graph import GraphParams
 from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
 from .osc_gateway import THEME_IDS
-from .render import BEATS_PER_MEASURE, MIN_TEMPO_BPM
-from .xcs import XcsParams
+from .render import BEATS_PER_MEASURE, BLOCK_TICKS, MIN_TEMPO_BPM, TICKS_PER_QUARTER
+from .xcs import XcsError, XcsParams
 
 ASSET_ROOT = Path(__file__).parent / "assets"
 
@@ -35,7 +36,7 @@ class EngineConfig:
     beats_per_measure: ClassVar[int] = BEATS_PER_MEASURE  # read-only: the grid is fixed
     tempo_bpm: float = 120.0
     style: str = "jazz"
-    n_melody_agents: int = 3
+    melody_agents: int = 3
     seed: int = 0
     tick_ms: int = 30
     reward_gate: float = DEFAULT_REWARD_GATE
@@ -48,7 +49,7 @@ class EngineConfig:
     osc_port: int = 5005
     osc_host: str = "127.0.0.1"
     theme_dir: str | None = None        # None -> bundled demo themes
-    chord_model_path: str | None = None  # None -> train on bundled corpora
+    chord_model: str | None = None  # None -> train on bundled corpora
     graph: GraphParams = field(default_factory=GraphParams)
     xcs: XcsParams = field(default_factory=XcsParams)
     range_factors: dict[str, float] = field(
@@ -58,22 +59,31 @@ class EngineConfig:
     def __post_init__(self):
         if self.style not in STYLES:
             raise ConfigError(f"unknown style {self.style!r}")
-        if self.n_melody_agents < 1:
-            raise ConfigError("need at least one melody agent")
+        if not 1 <= self.melody_agents <= 15:  # a MIDI channel each, bar percussion's
+            raise ConfigError("melody_agents outside 1..15")
         if self.tempo_bpm < MIN_TEMPO_BPM:
             raise ConfigError(f"tempo must be at least {MIN_TEMPO_BPM:.2f} bpm")
+        if self.reward_max <= 0:
+            raise ConfigError("reward_max must be positive")
         if not 0.0 <= self.reward_gate <= self.reward_max:
             raise ConfigError("reward gate outside valid range")
         if not 0.0 <= self.h_min <= 1.0:
             raise ConfigError("h_min outside [0, 1]")
         if self.tick_ms <= 0:
             raise ConfigError("tick_ms must be positive")
+        if BLOCK_TICKS // TICKS_PER_QUARTER * 60_000.0 / self.tempo_bpm < self.tick_ms:
+            raise ConfigError("a two-measure block must last at least one tick "
+                              "(tempo_bpm at most 480000 / tick_ms)")
         if self.top_chord_ranks < 1 or self.chord_order < 1:
             raise ConfigError("top_chord_ranks and chord_order must be >= 1")
         if not 0 <= self.default_theme < THEME_IDS:
             raise ConfigError(f"default_theme outside 0..{THEME_IDS - 1}")
         if not 0 <= self.osc_port <= 65535:
             raise ConfigError("osc_port outside 0..65535")
+        try:
+            self.xcs.__post_init__()
+        except XcsError as exc:
+            raise ConfigError(f"xcs: {exc}") from None
 
     def agent_range(self, agent_id: int) -> tuple[int, int]:
         return self.agent_ranges.get(agent_id, _default_agent_range(agent_id))
@@ -90,43 +100,12 @@ def _finite_float(value: str) -> float:
     return number
 
 
-# key -> (target, attribute, parser); target "" = EngineConfig itself
-_KEYS: dict[str, tuple[str, str, object]] = {
-    "engine.tempo_bpm": ("", "tempo_bpm", _finite_float),
-    "engine.style": ("", "style", str),
-    "engine.melody_agents": ("", "n_melody_agents", int),
-    "engine.seed": ("", "seed", int),
-    "engine.tick_ms": ("", "tick_ms", int),
-    "engine.reward_gate": ("", "reward_gate", _finite_float),
-    "engine.h_min": ("", "h_min", _finite_float),
-    "engine.reward_max": ("", "reward_max", _finite_float),
-    "engine.top_chord_ranks": ("", "top_chord_ranks", int),
-    "engine.chord_order": ("", "chord_order", int),
-    "engine.default_theme": ("", "default_theme", int),
-    "engine.explore_prob": ("", "explore_prob", _finite_float),
-    "engine.osc_port": ("", "osc_port", int),
-    "engine.osc_host": ("", "osc_host", str),
-    "engine.theme_dir": ("", "theme_dir", str),
-    "engine.chord_model": ("", "chord_model_path", str),
-    "graph.vertex_fade_per_s": ("graph", "vertex_fade_per_s", _finite_float),
-    "graph.edge_fade_per_s": ("graph", "edge_fade_per_s", _finite_float),
-    "graph.inferred_edge_weight": ("graph", "inferred_edge_weight", _finite_float),
-    "graph.co_activation_boost": ("graph", "co_activation_boost", _finite_float),
-    "xcs.population_cap": ("xcs", "population_cap", int),
-    "xcs.learning_rate": ("xcs", "learning_rate", _finite_float),
-    "xcs.error_threshold": ("xcs", "error_threshold", _finite_float),
-    "xcs.accuracy_power": ("xcs", "accuracy_power", _finite_float),
-    "xcs.accuracy_scale": ("xcs", "accuracy_scale", _finite_float),
-    "xcs.ga_threshold": ("xcs", "ga_threshold", _finite_float),
-    "xcs.crossover_prob": ("xcs", "crossover_prob", _finite_float),
-    "xcs.mutation_prob": ("xcs", "mutation_prob", _finite_float),
-    "xcs.wildcard_prob": ("xcs", "wildcard_prob", _finite_float),
-    "xcs.deletion_threshold": ("xcs", "deletion_threshold", int),
-    "xcs.init_prediction": ("xcs", "init_prediction", _finite_float),
-    "xcs.init_error": ("xcs", "init_error", _finite_float),
-    "xcs.init_fitness": ("xcs", "init_fitness", _finite_float),
-    "xcs.subsumption_experience": ("xcs", "subsumption_experience", int),
-}
+_PARSERS = {"int": int, "float": _finite_float, "str": str, "str | None": str}
+_SECTIONS = {"engine": EngineConfig, "graph": GraphParams, "xcs": XcsParams}
+# "<section>.<field>" -> parser, for every scalar field of a section's dataclass
+_KEYS: dict[str, object] = {
+    f"{section}.{f.name}": _PARSERS[f.type]
+    for section, cls in _SECTIONS.items() for f in fields(cls) if f.type in _PARSERS}
 
 
 def _apply(config: EngineConfig, key: str, value: str) -> None:
@@ -151,12 +130,9 @@ def _apply(config: EngineConfig, key: str, value: str) -> None:
         return
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    target, attribute, parser = _KEYS[key]
-    parsed = parser(value)
-    if target == "":
-        setattr(config, attribute, parsed)
-    else:
-        setattr(getattr(config, target), attribute, parsed)
+    section, _, name = key.partition(".")
+    target = config if section == "engine" else getattr(config, section)
+    setattr(target, name, _KEYS[key](value))
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> EngineConfig:
@@ -178,7 +154,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> EngineConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     if base_dir is not None:
-        for attribute in ("theme_dir", "chord_model_path"):
+        for attribute in ("theme_dir", "chord_model"):
             value = getattr(config, attribute)
             if value is not None and not Path(value).is_absolute():
                 setattr(config, attribute, str(base_dir / value))

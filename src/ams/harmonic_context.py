@@ -74,16 +74,17 @@ class ResourceMatrix:
         slide = self.region_cells
         self.cells[:, :-slide] = self.cells[:, slide:]
 
+        # clipping is idempotent, so every column of a chord equals its first
         col = self.region_start
+        column = self.cells[:, col - 1]
         for chord, measures in chords:
-            for _ in range(measures * self.cells_per_measure):
-                previous = self.cells[:, col - 1]
-                column = np.clip(previous, 0.0, CARRYOVER_CLAMP)
-                for tone in chord.tones:
-                    column[tone] = CHORD_TONE_VALUE
-                column[chord.root] = ROOT_VALUE
-                self.cells[:, col] = column
-                col += 1
+            column = np.clip(column, 0.0, CARRYOVER_CLAMP)
+            for tone in chord.tones:
+                column[tone] = CHORD_TONE_VALUE
+            column[chord.root] = ROOT_VALUE
+            width = measures * self.cells_per_measure
+            self.cells[:, col:col + width] = column[:, None]
+            col += width
 
     # -- placement geometry -------------------------------------------------
 
@@ -126,8 +127,6 @@ class ResourceMatrix:
     def consume(self, placement: Placement) -> None:
         """Zero inhabited cells, halve semitone neighbors and the tritone."""
         rows, cols = self.placement_cells(placement)
-        for pc, col in zip(rows.tolist(), cols.tolist()):
-            self.cells[(pc + 1) % 12, col] *= 0.5
-            self.cells[(pc - 1) % 12, col] *= 0.5
-            self.cells[(pc + 6) % 12, col] *= 0.5
+        for offset in (1, -1, 6):  # a cell hit twice is halved twice
+            np.multiply.at(self.cells, ((rows + offset) % 12, cols), 0.5)
         self.cells[rows, cols] = 0.0

@@ -16,6 +16,7 @@ from pathlib import Path
 from .chord_model import _ROOTS
 from .melody import Key, MelodicFragment, MelodyError, Note
 from .osc_gateway import THEME_IDS
+from .render import MEASURE_TICKS
 
 
 class ThemeError(ValueError):
@@ -23,10 +24,10 @@ class ThemeError(ValueError):
 
 
 def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragment]:
-    """Parse one theme file; any malformed field is a ThemeError naming
-    `source` and the line."""
+    """Parse one theme file; any malformed field, or a note outside the
+    theme's measures, is a ThemeError naming `source` and the line."""
     fields: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
-    notes: list[Note] = []
+    notes: list[tuple[int, Note]] = []  # (line number, note)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -40,7 +41,7 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
             if len(parts) != 4:
                 raise ThemeError(f"{source}:{lineno}: note needs pitch onset duration velocity")
             try:
-                notes.append(Note(*(int(p) for p in parts)))
+                notes.append((lineno, Note(*(int(p) for p in parts))))
             except ValueError as exc:  # int() or a MelodyError from Note
                 raise ThemeError(f"{source}:{lineno}: bad note {value!r}: {exc}") from None
         else:
@@ -65,11 +66,16 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
     if tonic_name not in _ROOTS or mode not in ("major", "minor"):
         raise ThemeError(f"{source}:{lineno}: bad key {key!r}")
     lineno, length = integer("length_measures")
-    notes.sort(key=lambda n: (n.onset, n.pitch))
+    ordered = sorted((note for _, note in notes), key=lambda n: (n.onset, n.pitch))
     try:
-        fragment = MelodicFragment(tuple(notes), length, Key(_ROOTS[tonic_name], mode))
+        fragment = MelodicFragment(tuple(ordered), length, Key(_ROOTS[tonic_name], mode))
     except MelodyError as exc:  # notes are sorted, so only the length can fail
         raise ThemeError(f"{source}:{lineno}: {exc}") from None
+    end = length * MEASURE_TICKS
+    for lineno, note in notes:
+        if note.onset < 0 or note.onset + note.duration > end:
+            raise ThemeError(f"{source}:{lineno}: note spans ticks {note.onset}.."
+                             f"{note.onset + note.duration}, outside the theme's 0..{end}")
     return theme_id, fragment
 
 

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 CONDITION_LENGTH = 18
 WILDCARD = "#"
+N_ACTIONS = 8                   # covering fills every action (theta_mna)
+TOURNAMENT_FRACTION = 0.4
+FITNESS_PENALTY_FRACTION = 0.1  # low-fitness deletion penalty cutoff
 
 
 class XcsError(ValueError):
@@ -32,14 +35,19 @@ class XcsParams:
     mutation_prob: float = 0.04         # mu, per condition symbol
     wildcard_prob: float = 0.33         # P# during covering
     deletion_threshold: int = 20        # theta_del
-    min_actions: int = 8                # theta_mna: cover until this many actions
-    n_actions: int = 8
     init_prediction: float = 0.01
     init_error: float = 0.01
     init_fitness: float = 0.01
     subsumption_experience: int = 20    # theta_sub
-    tournament_fraction: float = 0.4
-    fitness_penalty_fraction: float = 0.1  # low-fitness deletion penalty cutoff
+
+    def __post_init__(self):
+        if self.population_cap < N_ACTIONS:
+            raise XcsError(f"population_cap must be at least {N_ACTIONS}, "
+                           "one classifier per action")
+        if self.error_threshold <= 0:
+            raise XcsError("error_threshold must be positive")
+        if self.accuracy_power < 0:
+            raise XcsError("accuracy_power must be >= 0")
 
 
 @dataclass
@@ -93,14 +101,13 @@ class XcsPopulation:
 
     def match_set(self, bits: str) -> list[Classifier]:
         """All classifiers matching the input, covering missing actions until
-        min_actions distinct actions are present."""
+        all N_ACTIONS are present."""
         self._validate_input(bits)
         self.time += 1
         matches = [cl for cl in self.classifiers if cl.matches(bits)]
-        while len({cl.action for cl in matches}) < min(self.params.min_actions,
-                                                       self.params.n_actions):
+        while len({cl.action for cl in matches}) < N_ACTIONS:
             covered = {cl.action for cl in matches}
-            missing = [a for a in range(self.params.n_actions) if a not in covered]
+            missing = [a for a in range(N_ACTIONS) if a not in covered]
             action = missing[0]
             condition = "".join(
                 WILDCARD if self.rng.random() < self.params.wildcard_prob else b
@@ -227,7 +234,7 @@ class XcsPopulation:
         self._enforce_cap()
 
     def _tournament(self, action_set: list[Classifier]) -> Classifier:
-        size = max(1, round(self.params.tournament_fraction * len(action_set)))
+        size = max(1, round(TOURNAMENT_FRACTION * len(action_set)))
         pool = [action_set[self.rng.randrange(len(action_set))] for _ in range(size)]
         best = pool[0]
         for cl in pool[1:]:
@@ -268,7 +275,7 @@ class XcsPopulation:
             vote = cl.action_set_size * cl.numerosity
             micro_fitness = cl.fitness / cl.numerosity
             if (cl.experience > self.params.deletion_threshold
-                    and micro_fitness < self.params.fitness_penalty_fraction * mean_fitness
+                    and micro_fitness < FITNESS_PENALTY_FRACTION * mean_fitness
                     and micro_fitness > 0):
                 vote *= mean_fitness / micro_fitness
             votes.append(vote)

@@ -280,7 +280,7 @@ def test_12_real_time_budget():
     from ams.config import load_config
 
     config = load_config(DEMO_CFG)
-    config.n_melody_agents = 4
+    config.melody_agents = 4
     engine = build_engine(config)
     snapshot = AffectSnapshot(happiness=60, threat=40)
     durations = []

@@ -188,6 +188,29 @@ def test_serve_port_out_of_range_exits_usage_before_binding(monkeypatch, capsys)
     assert capsys.readouterr().err == "config error: osc_port outside 0..65535\n"
 
 
+@pytest.mark.parametrize("lines", [
+    "engine.reward_max = 0\nengine.reward_gate = 0.0",
+    "xcs.population_cap = 5",
+    "xcs.population_cap = -1",
+    "xcs.error_threshold = 0",
+    "xcs.error_threshold = -1e300",
+    "xcs.error_threshold = -0.01\nxcs.accuracy_power = 2.5",
+    "xcs.accuracy_power = -1e6",
+    "engine.tempo_bpm = 1e300",
+])
+def test_config_values_that_crashed_or_hung_a_replay_exit_usage(lines, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(lines + "\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    out = tmp_path / "out.mid"
+    assert main(["validate-config", str(config)]) == EXIT_USAGE
+    assert main(["replay", str(trace), "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    invalid, config_error = capsys.readouterr().err.splitlines()
+    assert invalid.startswith("invalid: ") and config_error.startswith("config error: ")
+
+
 def test_validate_config_missing_file(capsys):
     assert main(["validate-config", "/nonexistent.cfg"]) == EXIT_USAGE
 
@@ -310,6 +333,32 @@ def test_replay_bad_theme_file_exits_runtime(tmp_path, capsys):
     assert err.startswith(f"error: {themes / 'bad.theme'}:1: theme_id must be an integer")
 
 
+@pytest.mark.parametrize("note", ["60 -120 240 96", "60 1800 240 96"])
+def test_replay_theme_note_outside_the_theme_exits_runtime(note, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    themes = tmp_path / "themes"
+    themes.mkdir()
+    (themes / "a.theme").write_text(f"theme_id: 0\nkey: C major\nlength_measures: 1\n"
+                                    f"note: {note}\n")
+    config = tmp_path / "themes.cfg"
+    config.write_text("engine.theme_dir = themes\n")
+    assert main(["replay", str(trace), "--config", str(config)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {themes / 'a.theme'}:4: note spans ticks ")
+
+
+def test_replay_default_theme_missing_from_the_library_exits_runtime(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    config = tmp_path / "theme15.cfg"
+    config.write_text("engine.default_theme = 15\n")
+    out = tmp_path / "out.mid"
+    assert main(["replay", str(trace), "--config", str(config), "--out", str(out)]) == EXIT_RUNTIME
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: default_theme 15 is not in ")
+
+
 @pytest.mark.parametrize("blob, message", [
     (b"AMSC\x01", "truncated model header"),
     (b"AMSC" + struct.pack(">BI", 1, 9) + b"{not json", "malformed model body"),
@@ -341,6 +390,15 @@ def test_train_chords_defaults_to_bundled_corpora(tmp_path, capsys):
     bundled = load_chord_model(EngineConfig())
     assert trained.counts == bundled.counts
     assert trained.vocabulary == bundled.vocabulary
+
+
+def test_train_chords_order_below_one_exits_usage_before_reading_a_corpus(tmp_path, capsys):
+    out = tmp_path / "m.bin"
+    with pytest.raises(SystemExit) as exc:
+        main(["train-chords", "jazz:/nonexistent.chords", "--order", "0", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "order must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_chords_bad_corpus_spec(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ams.chord_model import parse_chord
 from ams.harmonic_context import (
+    CARRYOVER_CLAMP,
+    CHORD_TONE_VALUE,
+    ROOT_VALUE,
     HarmonyError,
     Placement,
     ResourceMatrix,
@@ -148,3 +153,69 @@ def test_brute_force_oracle_small():
                 count += 1
         assert harmonic_fitness(m, Placement(f, trans, shift)) == pytest.approx(
             total / count, abs=1e-12)
+
+
+def reference_extend(matrix, chords):
+    """The per-column fill that `extend` replaced: each new column is the
+    clipped previous column with the chord's tones and root set."""
+    slide = matrix.region_cells
+    matrix.cells[:, :-slide] = matrix.cells[:, slide:]
+    col = matrix.region_start
+    for chord, measures in chords:
+        for _ in range(measures * matrix.cells_per_measure):
+            column = np.clip(matrix.cells[:, col - 1], 0.0, CARRYOVER_CLAMP)
+            for tone in chord.tones:
+                column[tone] = CHORD_TONE_VALUE
+            column[chord.root] = ROOT_VALUE
+            matrix.cells[:, col] = column
+            col += 1
+
+
+def reference_consume(matrix, placement):
+    """The per-cell loop that `consume` replaced."""
+    rows, cols = matrix.placement_cells(placement)
+    for pc, col in zip(rows.tolist(), cols.tolist()):
+        matrix.cells[(pc + 1) % 12, col] *= 0.5
+        matrix.cells[(pc - 1) % 12, col] *= 0.5
+        matrix.cells[(pc + 6) % 12, col] *= 0.5
+    matrix.cells[rows, cols] = 0.0
+
+
+CHORDS = [parse_chord(c) for c in ("C", "G7", "Am", "F#m7", "Bdim", "E7", "Dm7", "Csus4")]
+
+blocks = st.one_of(
+    st.sampled_from(CHORDS).map(lambda chord: [(chord, 2)]),
+    st.lists(st.sampled_from(CHORDS), min_size=2, max_size=2).map(
+        lambda pair: [(chord, 1) for chord in pair]))
+
+placements = st.builds(
+    lambda notes, transposition, shift: Placement(
+        MelodicFragment(tuple(sorted(notes, key=lambda n: n.onset)), 2, KEY),
+        transposition, shift),
+    st.lists(st.builds(Note, st.integers(40, 80), st.integers(0, 1800),
+                       st.integers(1, 960)), min_size=1, max_size=5),
+    st.integers(-12, 12), st.integers(0, ResourceMatrix.region_cells - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.one_of(blocks, placements), max_size=8))
+def test_extend_and_consume_match_the_per_cell_loops(seed, steps):
+    """Bitwise-equal cells after any sequence of extends and consumes,
+    from arbitrary cell values (subnormals included, where halving rounds)."""
+    ours, theirs = ResourceMatrix(), ResourceMatrix()
+    cells = np.random.default_rng(seed).random((12, ResourceMatrix.columns))
+    cells[cells < 0.1] *= 1e-310
+    ours.cells, theirs.cells = cells.copy(), cells.copy()
+    for step in steps:
+        if isinstance(step, Placement):
+            try:
+                reference_consume(theirs, step)
+            except HarmonyError:  # ran past the region
+                with pytest.raises(HarmonyError):
+                    ours.consume(step)
+                continue
+            ours.consume(step)
+        else:
+            reference_extend(theirs, step)
+            ours.extend(step)
+        assert ours.cells.tobytes() == theirs.cells.tobytes()

@@ -1,9 +1,12 @@
 """Theme file parsing and the id-keyed library."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ams.config import ASSET_ROOT
 from ams.melody import Key, MelodicFragment, Note
+from ams.render import MEASURE_TICKS
 from ams.themes import ThemeError, ThemeLibrary, parse_theme
 
 SAMPLE = """\
@@ -70,6 +73,42 @@ def test_bad_key_rejected():
 def test_bad_field_names_file_and_line(old, new, line, message):
     with pytest.raises(ThemeError, match=f"^bad.theme:{line}: .*{message}"):
         parse_theme(SAMPLE.replace(old, new), source="bad.theme")
+
+
+def test_note_starting_before_the_theme_rejected():
+    with pytest.raises(ThemeError, match="^bad.theme:4: note spans ticks -120..120"):
+        parse_theme(SAMPLE.replace("note: 60 0 480 96", "note: 60 -120 240 96"),
+                    source="bad.theme")
+
+
+def test_note_ending_past_the_theme_rejected():
+    # length_measures: 2 is 3840 ticks; a note may end exactly there
+    parse_theme(SAMPLE.replace("note: 62 480 480 96", "note: 62 3360 480 96"))
+    with pytest.raises(ThemeError, match="^bad.theme:5: .*outside the theme's 0..3840"):
+        parse_theme(SAMPLE.replace("note: 62 480 480 96", "note: 62 3361 480 96"),
+                    source="bad.theme")
+
+
+_ints = st.one_of(st.integers(-2000, 8000), st.integers()).map(str)
+_theme_lines = st.one_of(
+    st.text(max_size=20),
+    st.tuples(st.sampled_from(["theme_id", "length_measures"]), _ints).map(": ".join),
+    st.sampled_from(["key: C major", "key: A minor", "key: H major", "key: C"]),
+    st.lists(_ints, min_size=3, max_size=5).map(lambda parts: "note: " + " ".join(parts)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_theme_lines, max_size=8))
+@example(["theme_id: 2", "key: C major", "length_measures: 1", "note: 60 -120 240 96"])
+@example(["theme_id: 2", "key: C major", "length_measures: 1", "note: 60 1800 240 96"])
+def test_arbitrary_theme_text_raises_only_theme_error(lines):
+    try:
+        _, fragment = parse_theme("\n".join(lines))
+    except ThemeError:
+        return
+    end = fragment.length_measures * MEASURE_TICKS
+    assert all(0 <= n.onset and n.onset + n.duration <= end for n in fragment.notes)
 
 
 def test_bundled_library_has_eight_demo_themes():

@@ -13,7 +13,7 @@ def make_pop(**overrides) -> XcsPopulation:
     return XcsPopulation(XcsParams(**overrides), random.Random(1))
 
 
-def test_covering_reaches_min_actions():
+def test_covering_reaches_all_actions():
     pop = make_pop()
     match = pop.match_set(BITS)
     assert len({cl.action for cl in match}) == 8
