@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 STYLES = ("pop", "rock", "jazz", "folk")
@@ -61,16 +62,19 @@ class ChordError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class ChordSymbol:
-    root: int  # pitch class 0..11
-    quality: str
+class ChordSymbol(namedtuple("ChordSymbol", ("root", "quality"))):
+    """A chord: root pitch class 0..11 and a QUALITIES key.  Immutable and
+    ordered by (root, quality); hashing and equality are the tuple's, done
+    in C, since the count tables hash a chord for every context token."""
 
-    def __post_init__(self):
-        if not 0 <= self.root < 12:
-            raise ChordError(f"root {self.root} is not a pitch class")
-        if self.quality not in QUALITIES:
-            raise ChordError(f"unknown chord quality {self.quality!r}")
+    __slots__ = ()
+
+    def __new__(cls, root: int, quality: str):
+        if not 0 <= root < 12:
+            raise ChordError(f"root {root} is not a pitch class")
+        if quality not in QUALITIES:
+            raise ChordError(f"unknown chord quality {quality!r}")
+        return super().__new__(cls, root, quality)
 
     @property
     def tones(self) -> tuple[int, ...]:

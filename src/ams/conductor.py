@@ -8,7 +8,7 @@ import json
 import logging
 import random
 
-from .chord_model import ChordError, ChordSequenceModel, ChordSymbol
+from .chord_model import ChordSequenceModel, ChordSymbol
 from .config import EngineConfig
 from .context_graph import AffectSnapshot, ConceptGraph, GraphError, VertexKind
 from .harmonic_context import ResourceMatrix
@@ -143,25 +143,21 @@ class Engine:
 
     # -- composition --------------------------------------------------------
 
-    def _predict_block_chords(self, rank: int) -> tuple[list[tuple[ChordSymbol, int]], float]:
-        """Two one-measure chords; the rank applies to the first chord, the
-        follow-up is always rank 1.  Confidence is the mean probability."""
-        history = list(self.chord_history[-8:])
-        first, conf_first = self.chord_model.next_chord(history, self.config.style, rank)
-        second, conf_second = self.chord_model.next_chord(
-            history + [first], self.config.style, 1)
-        return [(first, 1), (second, 1)], (conf_first + conf_second) / 2.0
-
     def composition_cycle(self, snapshot: AffectSnapshot,
                           theme_id: int) -> dict:
         """Compose one two-measure block; returns the decision log record.
 
         The turn order fixes every RNG draw, matrix consumption and XCS
-        update, so replays are byte-identical: the lead voice (agent 1)
-        decides; leader election weighs its estimate against the harmony's
-        confidence; the rank walk searches the lead's fragment over the
-        harmony's matrix or, when melody leads, over trial matrices down
-        the chord ranking until it fits; the lead settles; then agent 2
+        update, so replays are byte-identical.  The harmony ranks two-chord
+        candidates, the first chord at each rank up to `top_chord_ranks`
+        (at most the vocabulary size) and its follow-up at rank 1; the lead
+        voice (agent 1) decides; leader election weighs its estimate
+        against the rank-1 confidence.  One rank walk then places the lead:
+        it searches the lead's fragment over a trial matrix extended with
+        each candidate in turn (only rank 1 when harmony leads, every rank
+        when melody leads, none when the lead abstained or fits no
+        transposition) and adopts the first trial where it fits; otherwise
+        the matrix takes the rank-1 chords.  The lead settles; then agent 2
         (the lowest voice) and the inner voices ascending each propose and
         settle; last, percussion doubles agent 2's onsets.
         """
@@ -171,16 +167,18 @@ class Engine:
         span_limit = max_range(n_agents, config.style, config.range_factors)
         block_start = self.cycle_index * self.block_ticks
 
-        # harmony candidates, most likely first
-        candidates: list[tuple[int, list[tuple[ChordSymbol, int]], float]] = []
-        for rank in range(1, config.top_chord_ranks + 1):
-            try:
-                chords, confidence = self._predict_block_chords(rank)
-            except ChordError:
-                break
-            candidates.append((rank, chords, confidence))
-        if not candidates:
+        # harmony candidates, most likely first: (rank, chords, mean confidence)
+        history = self.chord_history[-8:]
+        n_ranks = min(config.top_chord_ranks, len(self.chord_model.chord_vocabulary))
+        if n_ranks == 0:
             raise ConductorError("chord model produced no candidates")
+        candidates: list[tuple[int, list[tuple[ChordSymbol, int]], float]] = []
+        for rank in range(1, n_ranks + 1):
+            first, conf_first = self.chord_model.next_chord(history, config.style, rank)
+            second, conf_second = self.chord_model.next_chord(
+                history + [first], config.style, 1)
+            candidates.append((rank, [(first, 1), (second, 1)],
+                               (conf_first + conf_second) / 2.0))
         chosen_rank, chords, harmony_confidence = candidates[0]
 
         # the lead voice decides before leader election
@@ -190,27 +188,25 @@ class Engine:
         melody_confidence = lead.estimated_reward / config.reward_max
         constraint1 = RangeConstraint(*config.agent_range(1))
         if isinstance(lead, Abstention) or harmony_confidence >= melody_confidence:
-            leader = "harmony"
-            self.matrix.extend(chords)
-            if not isinstance(lead, Abstention):
-                lead = lead.placed(lead_agent.search_placement(
-                    lead.fragment, self.matrix, config.style, n_agents, constraint1))
+            leader, walk = "harmony", candidates[:1]
         else:
-            # melody leads: walk down the chord ranking until the phrase
-            # fits; a phrase that fits no matrix skips the walk
-            leader = "melody"
-            found = None
-            if admissible_transpositions(lead.fragment, constraint1):
-                for rank, chords_r, _conf in candidates:
-                    trial = self.matrix.copy()
-                    trial.extend(chords_r)
-                    found = lead_agent.search_placement(
-                        lead.fragment, trial, config.style, n_agents, constraint1)
-                    if found is not None:
-                        chosen_rank, chords, self.matrix = rank, chords_r, trial
-                        break
-            if found is None:
-                self.matrix.extend(chords)
+            leader, walk = "melody", candidates
+        # a lead with no phrase, or one that fits no transposition, fits no matrix
+        if (isinstance(lead, Abstention)
+                or not admissible_transpositions(lead.fragment, constraint1)):
+            walk = []
+        found = None
+        for rank, chords_r, _conf in walk:
+            trial = self.matrix.copy()
+            trial.extend(chords_r)
+            found = lead_agent.search_placement(
+                lead.fragment, trial, config.style, n_agents, constraint1)
+            if found is not None:
+                chosen_rank, chords, self.matrix = rank, chords_r, trial
+                break
+        if found is None:
+            self.matrix.extend(chords)
+        if not isinstance(lead, Abstention):
             lead = lead.placed(found)
         self.chord_history.extend(chord for chord, _ in chords)
 
@@ -244,18 +240,12 @@ class Engine:
                 lowest_notes = notes
 
         # percussion doubles the lowest committed line
-        lowest_onsets = sorted({n.onset for n in lowest_notes})
-        phrase = generate_percussion(lowest_onsets, config.style, self.percussion_rng)
         percussion_hits = []
-        for lane, hits in phrase.lanes.items():
-            best_velocity: dict[int, int] = {}
-            for onset, velocity in hits:
-                best_velocity[onset] = max(best_velocity.get(onset, 0), velocity)
-            for onset in sorted(best_velocity):
-                self.percussion_track.notes.append(ScoreNote(
-                    GM_NOTES[lane], block_start + onset,
-                    PERCUSSION_HIT_TICKS, best_velocity[onset]))
-                percussion_hits.append([lane, onset])
+        for lane, onset, velocity in generate_percussion(
+                [n.onset for n in lowest_notes], config.style, self.percussion_rng):
+            self.percussion_track.notes.append(ScoreNote(
+                GM_NOTES[lane], block_start + onset, PERCUSSION_HIT_TICKS, velocity))
+            percussion_hits.append([lane, onset])
 
         record = {
             "cycle": self.cycle_index,

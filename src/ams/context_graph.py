@@ -14,7 +14,6 @@ last slot into its place.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -175,7 +174,7 @@ class _Edges(Mapping):
 
 class ConceptGraph:
     """Live game-context model.  Owned by a single engine thread; readers get
-    point-in-time snapshots via affect_snapshot()/copy().
+    point-in-time snapshots via affect_snapshot().
 
     Storage: one activation per vertex index in a float64 array, affect
     vertices at indices 0-5 and every other vertex after them in insertion
@@ -445,9 +444,6 @@ class ConceptGraph:
                     dist[j] = nd
                     heapq.heappush(heap, (nd, ids[j], j))
         return found
-
-    def copy(self) -> "ConceptGraph":
-        return copy.deepcopy(self)
 
     def dump(self) -> str:
         """Line-oriented debug dump with stable ordering for golden tests."""

@@ -20,11 +20,6 @@ from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, MEASURE_TICKS, TICKS_PER_CELL, TICKS_PER_QUARTER
 from .xcs import XcsPopulation
 
-OPERATOR_NAMES = (
-    "reverse", "diminish", "augment", "invert",
-    "reverse-diminish", "reverse-augment", "invert-diminish", "invert-augment",
-)
-
 MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
 MINOR_SCALE = (0, 2, 3, 5, 7, 8, 10)
 
@@ -72,10 +67,6 @@ class Key:
 
     def transposed(self, semitones: int) -> "Key":
         return Key((self.tonic + semitones) % 12, self.mode)
-
-    def __str__(self) -> str:
-        from .chord_model import PITCH_CLASS_NAMES
-        return f"{PITCH_CLASS_NAMES[self.tonic]} {self.mode}"
 
 
 @dataclass(frozen=True)
@@ -143,28 +134,36 @@ def _invert(fragment: MelodicFragment) -> MelodicFragment:
     return replace(fragment, notes=notes)
 
 
+def _diminish(fragment: MelodicFragment) -> MelodicFragment:
+    return _scale_time(fragment, 0.5)
+
+
+def _augment(fragment: MelodicFragment) -> MelodicFragment:
+    return _scale_time(fragment, 2.0)
+
+
+# the eight melody operators, by index; compound names compose right to
+# left (reverse-diminish diminishes first, then reverses)
+OPERATORS = (
+    ("reverse", _reverse),
+    ("diminish", _diminish),
+    ("augment", _augment),
+    ("invert", _invert),
+    ("reverse-diminish", lambda f: _reverse(_diminish(f))),
+    ("reverse-augment", lambda f: _reverse(_augment(f))),
+    ("invert-diminish", lambda f: _invert(_diminish(f))),
+    ("invert-augment", lambda f: _invert(_augment(f))),
+)
+OPERATOR_NAMES = tuple(name for name, _ in OPERATORS)
+
+
 def apply_operator(fragment: MelodicFragment, op: int) -> MelodicFragment:
-    """Apply melody operator 0..7; compound names compose right-to-left
-    (reverse-diminish diminishes first, then reverses)."""
+    """Apply melody operator `op`, an index into OPERATORS."""
     if not fragment.notes:
         raise OperatorError("empty fragment")
-    if op == 0:
-        return _reverse(fragment)
-    if op == 1:
-        return _scale_time(fragment, 0.5)
-    if op == 2:
-        return _scale_time(fragment, 2.0)
-    if op == 3:
-        return _invert(fragment)
-    if op == 4:
-        return _reverse(_scale_time(fragment, 0.5))
-    if op == 5:
-        return _reverse(_scale_time(fragment, 2.0))
-    if op == 6:
-        return _invert(_scale_time(fragment, 0.5))
-    if op == 7:
-        return _invert(_scale_time(fragment, 2.0))
-    raise MelodyError(f"unknown operator {op}")
+    if not 0 <= op < len(OPERATORS):
+        raise MelodyError(f"unknown operator {op}")
+    return OPERATORS[op][1](fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +442,9 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
         raise MelodyError("empty parent theme")
     pool = [parent_a, parent_b]
     for parent in (parent_a, parent_b):
-        for op in range(8):
+        for _name, operate in OPERATORS:
             try:
-                pool.append(apply_operator(parent, op))
+                pool.append(operate(parent))
             except OperatorError:
                 continue
 

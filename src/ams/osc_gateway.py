@@ -119,27 +119,6 @@ def _parse_message(data: bytes, start: int, end: int) -> tuple[str, list]:
     return address, args
 
 
-def encode_message(address: str, args: list) -> bytes:
-    """Encode one OSC message; argument types map str->s, float->f, int->i."""
-    tags = ","
-    body = b""
-    for arg in args:
-        if isinstance(arg, str):
-            tags += "s"
-            body += _pad_string(arg)
-        elif isinstance(arg, bool):
-            raise TypeError("bool is not an OSC argument type")
-        elif isinstance(arg, int):
-            tags += "i"
-            body += struct.pack(">i", arg)
-        elif isinstance(arg, float):
-            tags += "f"
-            body += struct.pack(">f", arg)
-        else:
-            raise TypeError(f"unsupported OSC argument {arg!r}")
-    return _pad_string(address) + _pad_string(tags) + body
-
-
 def encode_bundle(elements: list[bytes], timetag: int = 1) -> bytes:
     out = _pad_string("#bundle") + struct.pack(">Q", timetag)
     for element in elements:
@@ -244,13 +223,18 @@ _BY_CLASS = {t.cls: t for t in MESSAGE_TYPES.values()}
 
 
 def message_to_osc(msg: GameMessage) -> bytes:
-    """Encode a typed GameMessage back to its wire form."""
+    """Encode a typed GameMessage back to its wire form, each field with the
+    type tag its schema declares."""
     kind = _BY_CLASS.get(type(msg))
     if kind is None:
         raise TypeError(f"not a GameMessage: {msg!r}")
-    return encode_message(kind.address, [float(getattr(msg, name)) if tag == "f"
-                                         else str(getattr(msg, name))
-                                         for name, tag, _ in kind.fields])
+    tags = ","
+    body = b""
+    for name, tag, _ in kind.fields:
+        value = getattr(msg, name)
+        tags += tag
+        body += struct.pack(">f", float(value)) if tag == "f" else _pad_string(str(value))
+    return _pad_string(kind.address) + _pad_string(tags) + body
 
 
 def decode_packet(data: bytes) -> list[GameMessage]:

@@ -1,11 +1,11 @@
 """Percussion agent: the lowest melodic line's rhythm is doubled on the
 lowest percussion lane; the remaining kit lanes come from deterministic
-style templates with seeded ornaments."""
+style templates with seeded ornaments.  A block's percussion is one list of
+(lane, onset, velocity) hits, one per lane and onset, ready to score."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .render import BLOCK_MEASURES, BLOCK_TICKS, MEASURE_TICKS, TICKS_PER_CELL
 from .render import TICKS_PER_QUARTER as Q
@@ -34,36 +34,34 @@ class PercussionError(ValueError):
     pass
 
 
-@dataclass
-class PercussionPhrase:
-    """Two measures of kit hits: lane -> list of (onset ticks, velocity)."""
-
-    lanes: dict[str, list[tuple[int, int]]] = field(
-        default_factory=lambda: {lane: [] for lane in LANES})
-
-
 def generate_percussion(lowest_line_onsets: list[int], style: str,
-                        rng: random.Random) -> PercussionPhrase:
-    """Two-measure percussion phrase.
+                        rng: random.Random) -> list[tuple[str, int, int]]:
+    """Two measures of kit hits as (lane, onset ticks, velocity), in LANES
+    order and by ascending onset within a lane.
 
-    The kick lane doubles the lowest melodic line's onsets verbatim; other
-    lanes come from the style template plus rare seeded ornaments on the
-    cell grid.
+    The kick lane doubles the lowest melodic line's onsets; other lanes
+    come from the style template plus a rare seeded ornament on the cell
+    grid.  Hits that land on the same lane and onset merge into one at
+    the loudest velocity.
     """
     if style not in _TEMPLATES:
         raise PercussionError(f"unknown style {style!r}")
-    phrase = PercussionPhrase()
+    loudest: dict[str, dict[int, int]] = {lane: {} for lane in LANES}  # onset -> velocity
+
+    def hit(lane: str, onset: int, velocity: int) -> None:
+        onsets = loudest[lane]
+        onsets[onset] = max(onsets.get(onset, 0), velocity)
+
     for onset in lowest_line_onsets:
         if not 0 <= onset < BLOCK_TICKS:
             raise PercussionError(f"onset {onset} outside the two-measure window")
-        phrase.lanes["kick"].append((onset, 100))
+        hit("kick", onset, 100)
     for measure in range(BLOCK_MEASURES):
         base = measure * MEASURE_TICKS
         for lane, onset, velocity in _TEMPLATES[style]:
-            phrase.lanes[lane].append((base + onset, velocity))
+            hit(lane, base + onset, velocity)
     if rng.random() < ORNAMENT_PROB:
         cell = rng.randrange(BLOCK_TICKS // TICKS_PER_CELL)
-        phrase.lanes["hat"].append((cell * TICKS_PER_CELL, 60))
-    for lane in LANES:
-        phrase.lanes[lane].sort()
-    return phrase
+        hit("hat", cell * TICKS_PER_CELL, 60)
+    return [(lane, onset, onsets[onset])
+            for lane, onsets in loudest.items() for onset in sorted(onsets)]

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ams.chord_model import ChordSequenceModel
+from ams.chord_model import ChordSequenceModel, ingest_corpus, train
 from ams.cli import build_engine, parse_trace, trace_feed
 from ams import conductor
 from ams.config import ASSET_ROOT, EngineConfig, load_config
@@ -234,9 +234,21 @@ def test_replay_realizes_each_committed_placement_once(monkeypatch):
     assert calls[0] == committed
 
 
-def test_melody_led_walk_skips_a_lead_phrase_that_fits_nowhere(monkeypatch):
-    # a lead phrase with no admissible transposition, or longer than the
-    # region, fits no trial matrix: the walk is skipped and rank 1 kept
+def test_chord_candidates_are_bounded_by_the_vocabulary():
+    # two chords in the vocabulary: ranks 1 and 2 are the only candidates
+    engine = make_engine(top_chord_ranks=8)
+    engine.chord_model = train(ingest_corpus("C G | C G C", "pop"), order=2)
+    for _ in range(6):
+        assert engine.compose_block()["chord_rank"] in (1, 2)
+    # no chord at all: no candidate, so the cycle cannot compose
+    engine.chord_model = ChordSequenceModel(order=2, vocabulary=["pop"])
+    with pytest.raises(conductor.ConductorError):
+        engine.compose_block()
+
+
+def _replay_counting_lead_searches(monkeypatch):
+    """Replay the bundled traces with demo.cfg; yields each engine with the
+    lead's searches per cycle, as (cycle -> [admissible, ...])."""
     search = MelodyAgent.search_placement
     calls: list[tuple[int, int, bool]] = []  # (cycle, agent, admissible)
     engines = []
@@ -247,7 +259,6 @@ def test_melody_led_walk_skips_a_lead_phrase_that_fits_nowhere(monkeypatch):
         return search(agent, fragment, matrix, style, n_agents, constraint)
 
     monkeypatch.setattr(MelodyAgent, "search_placement", counting_search)
-    skipped = 0
     for trace in ("happiness_plateau", "mixed_session", "sadness_plateau", "threat_ramp"):
         calls.clear()
         engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
@@ -255,23 +266,56 @@ def test_melody_led_walk_skips_a_lead_phrase_that_fits_nowhere(monkeypatch):
         events = parse_trace((ASSET_ROOT / "traces" / f"{trace}.jsonl").read_text())
         engine.run(events[-1][0] + int(2 * engine.block_ms),
                    message_feed=trace_feed(events), clock=None)
-        lead_calls = Counter(cycle for cycle, agent, _ in calls if agent == 1)
+        lead_searches: dict[int, list[bool]] = {}
+        for cycle, agent, admissible in calls:
+            if agent == 1:
+                lead_searches.setdefault(cycle, []).append(admissible)
+        yield engine, lead_searches
+
+
+def test_melody_led_walk_skips_a_lead_phrase_that_fits_nowhere(monkeypatch):
+    # a lead phrase with no admissible transposition, or longer than the
+    # region, fits no trial matrix: the walk is skipped and rank 1 kept
+    skipped = 0
+    for engine, lead_searches in _replay_counting_lead_searches(monkeypatch):
         for record in engine.cycle_log:
-            lead = record["agents"][0]
             if record["leader"] != "melody":
                 continue
-            n_calls = lead_calls[record["cycle"]]
+            lead = record["agents"][0]
+            searches = lead_searches.get(record["cycle"], [])
+            assert all(searches)
             if not lead["abstained"]:
-                assert n_calls == record["chord_rank"]
+                assert len(searches) == record["chord_rank"]
             elif lead["reason"] == "search":
-                assert n_calls in (0, engine.config.top_chord_ranks)
+                assert len(searches) in (0, engine.config.top_chord_ranks)
                 assert record["chord_rank"] == 1
-                skipped += n_calls == 0
-        assert all(admissible for cycle, agent, admissible in calls
-                   if agent == 1 and engine.cycle_log[cycle]["leader"] == "melody")
+                skipped += not searches
     # 20 of the 82 melody-led cycles lead with a phrase that fits nowhere;
     # walking all 8 ranks for them cost 160 futile searches
     assert skipped == 20
+
+
+def test_harmony_led_walk_searches_rank_one_only_for_an_admissible_lead(monkeypatch):
+    # harmony leading is the same walk cut to rank 1: the lead is searched
+    # once when it has a phrase that fits some transposition, else never
+    searched = skipped = 0
+    for engine, lead_searches in _replay_counting_lead_searches(monkeypatch):
+        for record in engine.cycle_log:
+            if record["leader"] != "harmony":
+                continue
+            assert record["chord_rank"] == 1
+            lead = record["agents"][0]
+            searches = lead_searches.get(record["cycle"], [])
+            assert searches in ([], [True])
+            if not lead["abstained"]:
+                assert searches == [True]
+            elif lead["reason"] != "search":
+                assert searches == []
+            searched += len(searches)
+            skipped += lead["abstained"] and lead["reason"] == "search" and not searches
+    # over the bundled replays, 43 harmony-led searches; 3 leads that fit
+    # nowhere, each searched in vain before the walk was shared, are not
+    assert (searched, skipped) == (43, 3)
 
 
 def _evolve_scanning_every_vertex(engine):
