@@ -6,10 +6,9 @@ the (normalized) probability of the returned chord doubles as the harmony
 agent's confidence.
 
 A model is read-only once `train` or `load` has built it.  It ranks each
-distinct context once: the chord-only count tables of a context's
-suffixes and the context's ranked distribution are filled in on first
-use and reused by every later query, so a composition cycle, which asks
-for the same few contexts again and again, does not re-rank them.
+distinct context once: the context's ranked distribution is computed on
+first use and reused by every later query, so a composition cycle, which
+asks for the same few contexts again and again, does not re-rank them.
 """
 
 from __future__ import annotations
@@ -55,6 +54,9 @@ _SUFFIXES = {
     "sus4": "sus4", "sus": "sus4",
 }
 
+# quality -> its name in a chord symbol: the first suffix listed for it
+_SUFFIX_OF = {quality: suffix for suffix, quality in reversed(_SUFFIXES.items())}
+
 _CHORD_RE = re.compile(r"^([A-G][#b]?)(.*)$")
 
 
@@ -81,10 +83,7 @@ class ChordSymbol(namedtuple("ChordSymbol", ("root", "quality"))):
         return tuple((self.root + i) % 12 for i in QUALITIES[self.quality])
 
     def __str__(self) -> str:
-        name = PITCH_CLASS_NAMES[self.root]
-        suffix = {"maj": "", "min": "m", "dom7": "7", "maj7": "maj7",
-                  "min7": "m7", "dim": "dim", "aug": "aug", "sus4": "sus4"}[self.quality]
-        return name + suffix
+        return PITCH_CLASS_NAMES[self.root] + _SUFFIX_OF[self.quality]
 
 
 def parse_chord(token: str) -> ChordSymbol:
@@ -151,21 +150,17 @@ class ChordSequenceModel:
     """Order-k count model with stupid backoff over chords and style tokens.
 
     `train` and `load` build a model; after that it is read-only.  The
-    chord-only count table of each context and the ranked distribution of
-    each context truncated to `order` tokens are computed the first time a
-    query needs them and kept on the model, so a later change to `counts`
-    or `vocabulary` would leave stale rankings behind.  The runtime context
-    is history chords interleaved with the style token, so how many
-    rankings a session keeps is bounded by the vocabulary and the styles,
-    not by the session's length.
+    ranked distribution of each context truncated to `order` tokens is
+    computed the first time a query needs it and kept on the model, so a
+    later change to `counts` or `vocabulary` would leave stale rankings
+    behind.  The runtime context is history chords interleaved with the
+    style token, so how many rankings a session keeps is bounded by the
+    vocabulary and the styles, not by the session's length.
     """
 
     order: int
     counts: dict[tuple[Token, ...], dict[Token, int]] = field(default_factory=dict)
     vocabulary: list[Token] = field(default_factory=list)
-    # context -> its chord table, None without chord successors
-    _chord_tables: dict[tuple[Token, ...], ChordTable | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     # truncated context -> ranked (chord, probability) pairs
     _rankings: dict[tuple[Token, ...], tuple[tuple[ChordSymbol, float], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -175,13 +170,6 @@ class ChordSequenceModel:
         return sorted(t for t in self.vocabulary if isinstance(t, ChordSymbol))
 
     # -- scoring ------------------------------------------------------------
-
-    def _chord_table(self, context: tuple[Token, ...]) -> ChordTable | None:
-        if context not in self._chord_tables:
-            table = self.counts.get(context) or {}
-            chords = {t: n for t, n in table.items() if isinstance(t, ChordSymbol)}
-            self._chord_tables[context] = (chords, sum(chords.values())) if chords else None
-        return self._chord_tables[context]
 
     @staticmethod
     def _backoff_score(token: ChordSymbol, tables: list[ChordTable | None]) -> float:
@@ -201,7 +189,10 @@ class ChordSequenceModel:
 
     def _rank(self, context: tuple[Token, ...]) -> tuple[tuple[ChordSymbol, float], ...]:
         """The ranked distribution of a truncated context (see `distribution`)."""
-        tables = [self._chord_table(context[i:]) for i in range(len(context) + 1)]
+        # the chord table of each suffix, longest first; None without chords
+        successors = [{t: n for t, n in self.counts.get(context[i:], {}).items()
+                       if isinstance(t, ChordSymbol)} for i in range(len(context) + 1)]
+        tables = [(chords, sum(chords.values())) if chords else None for chords in successors]
         table = next((t for t in tables if t is not None), None)
         symbols = self.chord_vocabulary
         if table is not None:

@@ -28,7 +28,7 @@ from .melody import (
 )
 from .osc_gateway import AssignTheme, MessageQueue
 from .percussion import GM_NOTES, generate_percussion
-from .render import BLOCK_TICKS, PERCUSSION_CHANNEL, TICKS_PER_QUARTER, Score, ScoreNote, Track
+from .render import BLOCK_TICKS, PERCUSSION_CHANNEL, Score, ScoreNote, Track
 from .themes import ThemeLibrary
 from .xcs import XcsPopulation
 
@@ -49,20 +49,19 @@ class Engine:
     """
 
     def __init__(self, config: EngineConfig, themes: ThemeLibrary,
-                 chord_model: ChordSequenceModel,
-                 queue: MessageQueue | None = None):
+                 chord_model: ChordSequenceModel):
         self.config = config
         self.themes = themes
         self.chord_model = chord_model
-        self.queue = queue or MessageQueue()
+        self.queue = MessageQueue()
         self.graph = ConceptGraph(config.graph)
-        self.rng = random.Random(config.seed)
-        self.percussion_rng = random.Random(self.rng.randrange(2**32))
-        self.evolution_rng = random.Random(self.rng.randrange(2**32))
+        rng = random.Random(config.seed)
+        self.percussion_rng = random.Random(rng.randrange(2**32))
+        self.evolution_rng = random.Random(rng.randrange(2**32))
 
         self.agents: list[MelodyAgent] = []
         for i in range(config.melody_agents):
-            population = XcsPopulation(config.xcs, random.Random(self.rng.randrange(2**32)))
+            population = XcsPopulation(config.xcs, random.Random(rng.randrange(2**32)))
             self.agents.append(MelodyAgent(i + 1, population,
                                            reward_gate=config.reward_gate,
                                            h_min=config.h_min))
@@ -88,12 +87,9 @@ class Engine:
 
     # -- timing -------------------------------------------------------------
 
-    block_ticks = BLOCK_TICKS
-
     @property
     def block_ms(self) -> float:
-        # beats per block times ms per beat
-        return BLOCK_TICKS // TICKS_PER_QUARTER * 60_000.0 / self.config.tempo_bpm
+        return self.config.block_ms
 
     # -- graph maintenance --------------------------------------------------
 
@@ -165,10 +161,11 @@ class Engine:
         theme = self.themes.get(theme_id)
         n_agents = len(self.agents)
         span_limit = max_range(n_agents, config.style, config.range_factors)
-        block_start = self.cycle_index * self.block_ticks
+        block_start = self.cycle_index * BLOCK_TICKS
 
-        # harmony candidates, most likely first: (rank, chords, mean confidence)
-        history = self.chord_history[-8:]
+        # harmony candidates, most likely first: (rank, chords, mean confidence);
+        # the model reads at most `order` tokens, which as many chords cover
+        history = self.chord_history[-self.chord_model.order:]
         n_ranks = min(config.top_chord_ranks, len(self.chord_model.chord_vocabulary))
         if n_ranks == 0:
             raise ConductorError("chord model produced no candidates")
@@ -243,7 +240,7 @@ class Engine:
         percussion_hits = []
         for lane, onset, velocity in generate_percussion(
                 [n.onset for n in lowest_notes], config.style, self.percussion_rng):
-            self.percussion_track.notes.append(ScoreNote(
+            self.percussion_track.add(ScoreNote(
                 GM_NOTES[lane], block_start + onset, PERCUSSION_HIT_TICKS, velocity))
             percussion_hits.append([lane, onset])
 
@@ -287,8 +284,8 @@ class Engine:
         realized = placed_fragment(placement)
         track = self.melody_tracks[agent.agent_id - 1]
         for note in realized.notes:
-            track.notes.append(ScoreNote(note.pitch, block_start + note.onset,
-                                         note.duration, note.velocity))
+            track.add(ScoreNote(note.pitch, block_start + note.onset,
+                                note.duration, note.velocity))
         raw_reward, features = realize_reward(snapshot, realized, config.tempo_bpm)
         agent.population.update(outcome.action_set,
                                 min(config.reward_max, max(0.0, raw_reward)))
@@ -330,7 +327,7 @@ class Engine:
         time; None runs as fast as possible.  Composition happens one block
         ahead of playback.
         """
-        n_blocks = -(-duration_ms // self.block_ms)
+        n_blocks = -(-duration_ms // self.config.block_ms)
         start = clock.now() if clock is not None else 0.0
         while self.time_ms < duration_ms:
             if message_feed is not None:
@@ -338,7 +335,7 @@ class Engine:
                     self.queue.put(msg)
             # compose every block whose lead-in deadline has passed
             while (self.cycle_index < n_blocks
-                   and max(0.0, (self.cycle_index - 1) * self.block_ms) <= self.time_ms):
+                   and max(0.0, (self.cycle_index - 1) * self.config.block_ms) <= self.time_ms):
                 record = self.compose_block()
                 if on_block is not None:
                     on_block(record)

@@ -71,7 +71,7 @@ class EngineConfig:
             raise ConfigError("h_min outside [0, 1]")
         if self.tick_ms <= 0:
             raise ConfigError("tick_ms must be positive")
-        if BLOCK_TICKS // TICKS_PER_QUARTER * 60_000.0 / self.tempo_bpm < self.tick_ms:
+        if self.block_ms < self.tick_ms:
             raise ConfigError("a two-measure block must last at least one tick "
                               "(tempo_bpm at most 480000 / tick_ms)")
         if self.top_chord_ranks < 1 or self.chord_order < 1:
@@ -84,6 +84,10 @@ class EngineConfig:
             self.xcs.__post_init__()
         except XcsError as exc:
             raise ConfigError(f"xcs: {exc}") from None
+
+    @property
+    def block_ms(self) -> float:  # beats per block times ms per beat
+        return BLOCK_TICKS // TICKS_PER_QUARTER * 60_000.0 / self.tempo_bpm
 
     def agent_range(self, agent_id: int) -> tuple[int, int]:
         return self.agent_ranges.get(agent_id, _default_agent_range(agent_id))

@@ -15,6 +15,7 @@ last slot into its place.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +24,7 @@ import numpy as np
 
 from .osc_gateway import (
     AFFECT_CATEGORIES,
+    MAX_LEVEL,
     ActivateConcept,
     AssignTheme,
     GameMessage,
@@ -55,18 +57,8 @@ class GraphParams:
     co_activation_boost: float = 0.1
 
 
-@dataclass(frozen=True)
-class AffectSnapshot:
-    happiness: float = 0.0
-    excitement: float = 0.0
-    anger: float = 0.0
-    sadness: float = 0.0
-    tenderness: float = 0.0
-    threat: float = 0.0
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.happiness, self.excitement, self.anger,
-                self.sadness, self.tenderness, self.threat)
+AffectSnapshot = namedtuple("AffectSnapshot", AFFECT_CATEGORIES, defaults=(0.0,) * N_AFFECT)
+AffectSnapshot.__doc__ = "Affect activations, one field per AFFECT_CATEGORIES entry."
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -178,9 +170,10 @@ class ConceptGraph:
 
     Storage: one activation per vertex index in a float64 array, affect
     vertices at indices 0-5 and every other vertex after them in insertion
-    order; per edge slot, endpoint indices, a weight and an inferred flag.
-    `vertices` and `edges` are read-only mappings onto views of these
-    arrays; the graph changes only through `apply_message` and `tick`.
+    order; per edge slot, endpoint indices, a weight and an inferred flag;
+    edge keys only in the key -> slot map, in creation order.  `vertices`
+    and `edges` are read-only mappings onto views of these arrays; the
+    graph changes only through `apply_message` and `tick`.
     """
 
     def __init__(self, params: GraphParams | None = None):
@@ -196,7 +189,6 @@ class ConceptGraph:
         self._activation = np.zeros(_INITIAL_CAPACITY)
         self._themed = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         # per edge slot
-        self._keys: list[tuple[str, str]] = []
         self._slots: dict[tuple[str, str], int] = {}  # creation order
         self._ends = np.zeros((2, _INITIAL_CAPACITY), dtype=np.intp)
         self._weights = np.zeros(_INITIAL_CAPACITY)
@@ -248,12 +240,11 @@ class ConceptGraph:
         key = _edge_key(a, b)
         slot = self._slots.get(key)
         if slot is None:
-            slot = len(self._keys)
+            slot = len(self._slots)
             if slot == len(self._weights):
                 self._ends = _grown(self._ends)
                 self._weights = _grown(self._weights)
                 self._inferred = _grown(self._inferred)
-            self._keys.append(key)
             self._slots[key] = slot
             self._ends[:, slot] = (ia, ib)
             self._adjacency[ia][ib] = slot
@@ -267,17 +258,14 @@ class ConceptGraph:
         ia, ib = self._ends[:, slot].tolist()
         del self._adjacency[ia][ib]
         del self._adjacency[ib][ia]
-        last = len(self._keys) - 1
+        last = len(self._slots)
         if slot != last:
-            moved = self._keys[last]
-            self._keys[slot] = moved
-            self._slots[moved] = slot
+            ma, mb = self._ends[:, last].tolist()
+            self._slots[_edge_key(self._ids[ma], self._ids[mb])] = slot
             for array in (self._ends, self._weights, self._inferred):
                 array[..., slot] = array[..., last]
-            ma, mb = self._ends[:, slot].tolist()
             self._adjacency[ma][mb] = slot
             self._adjacency[mb][ma] = slot
-        self._keys.pop()
         self._version += 1
 
     def degree(self, concept: str) -> int:
@@ -319,7 +307,7 @@ class ConceptGraph:
         if mode == "set":
             self._activation[index] = max(current, level)
         else:  # add clamps at 100
-            self._activation[index] = min(100.0, current + level)
+            self._activation[index] = min(MAX_LEVEL, current + level)
         self._last_activated[index] = self.clock
 
     # -- tick ---------------------------------------------------------------
@@ -340,9 +328,9 @@ class ConceptGraph:
         pre = activation.copy()
 
         # spread, simultaneously from the pre-tick state
-        if self._keys:
-            ends = self._ends[:, :len(self._keys)]
-            weights = self._weights[:len(self._keys)]
+        if self._slots:
+            ends = self._ends[:, :len(self._slots)]
+            weights = self._weights[:len(self._slots)]
             np.maximum.at(activation, ends[1], pre[ends[0]] * weights)
             np.maximum.at(activation, ends[0], pre[ends[1]] * weights)
 
@@ -352,15 +340,18 @@ class ConceptGraph:
         vertex_fade = self.params.vertex_fade_per_s * dt_ms / 1000.0
         np.subtract(activation, vertex_fade, out=activation)
         np.maximum(activation, 0.0, out=activation)
-        np.minimum(activation, 100.0, out=activation)
-        inferred = self._inferred[:len(self._keys)]
+        np.minimum(activation, MAX_LEVEL, out=activation)
+        inferred = self._inferred[:len(self._slots)]
         if inferred.any():
             edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
-            weights = self._weights[:len(self._keys)]
+            weights = self._weights[:len(self._slots)]
             faded = np.maximum(weights - edge_fade, 0.0)
             np.copyto(weights, faded, where=inferred)
             doomed = np.flatnonzero(inferred & (faded < EDGE_REMOVAL_THRESHOLD))
-            for key in [self._keys[slot] for slot in doomed.tolist()]:
+            # every key before the first removal, which moves the last slot
+            ids, ends = self._ids, self._ends
+            for key in [_edge_key(ids[ends.item(0, slot)], ids[ends.item(1, slot)])
+                        for slot in doomed.tolist()]:
                 self._remove_edge(key)
 
         self.clock += dt_ms

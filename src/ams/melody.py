@@ -20,8 +20,8 @@ from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, MEASURE_TICKS, TICKS_PER_CELL, TICKS_PER_QUARTER
 from .xcs import XcsPopulation
 
-MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
-MINOR_SCALE = (0, 2, 3, 5, 7, 8, 10)
+# key mode -> scale degrees above the tonic
+SCALES = {"major": (0, 2, 4, 5, 7, 9, 11), "minor": (0, 2, 3, 5, 7, 8, 10)}
 
 # style range factor S_r; rock shares the pop value
 STYLE_RANGE_FACTORS = {"jazz": 1.0, "pop": 0.8, "rock": 0.8, "folk": 0.7}
@@ -58,12 +58,11 @@ class Note:
 @dataclass(frozen=True)
 class Key:
     tonic: int  # pitch class
-    mode: str  # "major" | "minor"
+    mode: str  # a SCALES key
 
     @property
     def scale(self) -> tuple[int, ...]:
-        intervals = MAJOR_SCALE if self.mode == "major" else MINOR_SCALE
-        return tuple((self.tonic + i) % 12 for i in intervals)
+        return tuple((self.tonic + i) % 12 for i in SCALES[self.mode])
 
     def transposed(self, semitones: int) -> "Key":
         return Key((self.tonic + semitones) % 12, self.mode)
@@ -203,8 +202,7 @@ def reward(snapshot: AffectSnapshot, features: FragmentFeatures) -> float:
     Happiness is compared against the diatonic fraction; activations are
     0-100 while d is 0-1, so happiness is divided by 100.
     """
-    h, e, s, te, th = (snapshot.happiness, snapshot.excitement,
-                       snapshot.sadness, snapshot.tenderness, snapshot.threat)
+    h, e, _anger, s, te, th = snapshot
     n_s = features.notes_per_second
     d = features.diatonic_fraction
     p_bar = features.mean_interval
@@ -221,16 +219,8 @@ def encode_environment(snapshot: AffectSnapshot, theme_id: int) -> str:
     """Canonical-order affect bins (2 bits each) plus a 6-bit theme id."""
     if not 0 <= theme_id < THEME_IDS:
         raise MelodyError(f"theme id {theme_id} does not fit 6 bits")
-    bits = []
-    for level in snapshot.as_tuple():
-        if level < 25:
-            bits.append("00")
-        elif level < 50:
-            bits.append("01")
-        elif level < 75:
-            bits.append("10")
-        else:
-            bits.append("11")
+    bits = ["00" if level < 25 else "01" if level < 50 else "10" if level < 75 else "11"
+            for level in snapshot]
     return "".join(bits) + format(theme_id, "06b")
 
 
@@ -428,15 +418,16 @@ def realize_reward(snapshot: AffectSnapshot, realized: MelodicFragment,
 # ---------------------------------------------------------------------------
 # theme evolution
 
+THEME_MUTATION_PROB = 0.1
+
 
 def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
-                 rng: random.Random,
-                 mutation_prob: float = 0.1) -> MelodicFragment:
+                 rng: random.Random) -> MelodicFragment:
     """Breed a theme for an unthemed concept.
 
     Pool = both parents plus every operator image of each; two pool members
     are spliced at a random measure boundary, then each note independently
-    mutates pitch or rhythm with the given probability.
+    mutates pitch or rhythm with probability THEME_MUTATION_PROB.
     """
     if not parent_a.notes or not parent_b.notes:
         raise MelodyError("empty parent theme")
@@ -459,7 +450,7 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
 
     mutated = []
     for n in notes:
-        if rng.random() < mutation_prob:
+        if rng.random() < THEME_MUTATION_PROB:
             if rng.random() < 0.5:
                 delta = rng.choice([1, 2, 3, 4]) * rng.choice([-1, 1])
                 pitch = min(127, max(0, n.pitch + delta))

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 log = logging.getLogger(__name__)
 
 AFFECT_CATEGORIES = ("happiness", "excitement", "anger", "sadness", "tenderness", "threat")
+MAX_LEVEL = 100.0  # activation levels lie in [0, MAX_LEVEL]
 
 THEME_IDS = 64  # theme ids 0..63: the classifier context encodes one in 6 bits
 
@@ -43,7 +44,7 @@ class OscDecodeError(ValueError):
 class ActivateConcept:
     name: str
     kind: str  # "object" | "environment"
-    level: float  # 0..100
+    level: float  # 0..MAX_LEVEL
     mode: str  # "set" | "add"
 
 
@@ -119,8 +120,8 @@ def _parse_message(data: bytes, start: int, end: int) -> tuple[str, list]:
     return address, args
 
 
-def encode_bundle(elements: list[bytes], timetag: int = 1) -> bytes:
-    out = _pad_string("#bundle") + struct.pack(">Q", timetag)
+def encode_bundle(elements: list[bytes]) -> bytes:
+    out = _pad_string("#bundle") + struct.pack(">Q", 1)  # timetag 1: immediately
     for element in elements:
         out += struct.pack(">i", len(element)) + element
     return out
@@ -208,10 +209,10 @@ _MODE = ("mode", "s", _one_of("set", "add"))
 MESSAGE_TYPES = {t.name: t for t in (
     MessageType("activate", "/ams/activate", ActivateConcept,
                 (("name", "s", _name), ("kind", "s", _one_of("object", "environment")),
-                 ("level", "f", _number(100.0)), _MODE),
+                 ("level", "f", _number(MAX_LEVEL)), _MODE),
                 {"kind": "object", "mode": "set"}),
     MessageType("affect", "/ams/affect", SetAffect,
-                (("category", "s", _category), ("level", "f", _number(100.0)), _MODE),
+                (("category", "s", _category), ("level", "f", _number(MAX_LEVEL)), _MODE),
                 {"mode": "set"}),
     MessageType("edge", "/ams/edge", SetEdge,
                 (("a", "s", _name), ("b", "s", _name), ("weight", "f", _number(1.0)))),

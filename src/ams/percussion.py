@@ -10,10 +10,10 @@ import random
 from .render import BLOCK_MEASURES, BLOCK_TICKS, MEASURE_TICKS, TICKS_PER_CELL
 from .render import TICKS_PER_QUARTER as Q
 
-LANES = ("kick", "snare", "hat", "aux")
-
 # General MIDI channel-10 note numbers, used by the renderer
 GM_NOTES = {"kick": 36, "snare": 38, "hat": 42, "aux": 46}
+
+LANES = tuple(GM_NOTES)
 
 ORNAMENT_PROB = 0.1
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # The time grid, fixed at 4/4: every module takes these from here.
 TICKS_PER_QUARTER = 480  # SMF division
@@ -37,6 +37,23 @@ class Track:
     name: str
     channel: int
     notes: list[ScoreNote] = field(default_factory=list)
+    # pitch -> index in notes of the last note added at that pitch
+    _last: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def add(self, note: ScoreNote) -> None:
+        """Append a note, a pitch's notes in onset order.  The note of its
+        pitch still sounding at its onset is cut short there, or replaced if
+        it starts there too: an SMF sounds one note per pitch and channel."""
+        index = self._last.get(note.pitch)
+        if index is not None:
+            prior = self.notes[index]
+            if prior.onset == note.onset:
+                self.notes[index] = note
+                return
+            if prior.onset + prior.duration > note.onset:
+                self.notes[index] = replace(prior, duration=note.onset - prior.onset)
+        self._last[note.pitch] = len(self.notes)
+        self.notes.append(note)
 
 
 @dataclass
@@ -231,13 +248,13 @@ def score_events(score: Score) -> list[TimedEvent]:
     return events
 
 
-def stream_events(events: list[TimedEvent], clock, sink, start_time: float | None = None) -> None:
-    """Dispatch events at their scheduled times against the given clock.
+def stream_events(events: list[TimedEvent], clock, sink) -> None:
+    """Dispatch events at their scheduled times, from the clock's now.
 
     sink(event, actual_time) is called for each event; errors from the sink
     propagate to the caller.
     """
-    base = clock.now() if start_time is None else start_time
+    base = clock.now()
     for event in events:
         clock.sleep_until(base + event.time_s)
         sink(event, clock.now() - base)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .chord_model import _ROOTS
-from .melody import Key, MelodicFragment, MelodyError, Note
+from .melody import SCALES, Key, MelodicFragment, MelodyError, Note
 from .osc_gateway import THEME_IDS
 from .render import MEASURE_TICKS
 
@@ -63,7 +63,7 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
         raise ThemeError(f"{source}:{lineno}: theme id {theme_id} outside 0..{THEME_IDS - 1}")
     lineno, key = fields["key"]
     tonic_name, _, mode = key.partition(" ")
-    if tonic_name not in _ROOTS or mode not in ("major", "minor"):
+    if tonic_name not in _ROOTS or mode not in SCALES:
         raise ThemeError(f"{source}:{lineno}: bad key {key!r}")
     lineno, length = integer("length_measures")
     ordered = sorted((note for _, note in notes), key=lambda n: (n.onset, n.pitch))

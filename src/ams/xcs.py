@@ -5,6 +5,13 @@ a small set of actions.  Classifiers track prediction, absolute prediction
 error and relative-accuracy fitness; a niche genetic algorithm runs on
 action sets with subsumption, and deletion keeps total numerosity under a
 population cap.
+
+Unlike Butz & Wilson (2001): (a) `update` moves the error before the
+prediction, so the error reads the prediction from before the update;
+(b) there is no MAM averaging, the rate is beta from the first update on;
+(c) only the GA subsumes (a parent absorbs its child), there is no
+action-set subsumption; (d) mutation turns "#" into a random bit, not the
+input's bit; (e) parents are chosen by tournament, not roulette wheel.
 """
 
 from __future__ import annotations

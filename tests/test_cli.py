@@ -348,6 +348,22 @@ def test_replay_theme_note_outside_the_theme_exits_runtime(note, tmp_path, capsy
     assert err.startswith(f"error: {themes / 'a.theme'}:4: note spans ticks ")
 
 
+def test_replay_with_overlapping_theme_notes_writes_a_readable_smf(tmp_path):
+    # a second E4 starts while the first still sounds; parse_theme accepts it
+    themes = tmp_path / "themes"
+    themes.mkdir()
+    for path in (ASSET_ROOT / "themes").glob("*.theme"):
+        (themes / path.name).write_text(path.read_text())
+    with open(themes / "00_village.theme", "a") as fh:
+        fh.write("note: 64 60 480 88\n")
+    config = tmp_path / "overlap.cfg"
+    config.write_text((ASSET_ROOT / "demo.cfg").read_text() + "engine.theme_dir = themes\n")
+    out = tmp_path / "out.mid"
+    assert main(["replay", str(ASSET_ROOT / "traces" / "threat_ramp.jsonl"),
+                 "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert any(t.notes for t in read_midi_bytes(out.read_bytes()).tracks)
+
+
 def test_replay_default_theme_missing_from_the_library_exits_runtime(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     trace.write_text(TRACE)

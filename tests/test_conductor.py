@@ -4,21 +4,27 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ams.chord_model import ChordSequenceModel, ingest_corpus, train
-from ams.cli import build_engine, parse_trace, trace_feed
+from ams.chord_model import STYLES, ChordSequenceModel, ingest_corpus, train
+from ams.cli import build_engine, bundled_corpus, parse_trace, trace_feed
 from ams import conductor
 from ams.config import ASSET_ROOT, EngineConfig, load_config
 from ams.context_graph import ConceptGraph, VertexKind
 from ams.melody import (
+    SCALES,
+    Key,
     MelodicFragment,
     MelodyAgent,
+    Note,
     OperatorError,
     admissible_transpositions,
     evolve_theme,
 )
 from ams.osc_gateway import ActivateConcept, AssignTheme, SetAffect, SetEdge
-from ams.render import score_to_midi_bytes
+from ams.render import BLOCK_TICKS, MEASURE_TICKS, read_midi_bytes, score_to_midi_bytes
+from ams.themes import ThemeLibrary
 from ams.xcs import XcsPopulation
 
 
@@ -38,7 +44,7 @@ def ran_engine():
 
 def test_block_timing_constants():
     engine = make_engine(tempo_bpm=120.0)
-    assert engine.block_ticks == 3840
+    assert BLOCK_TICKS == 3840
     assert engine.block_ms == pytest.approx(4000.0)
 
 
@@ -212,6 +218,70 @@ def test_replay_ranks_each_chord_context_once(monkeypatch):
     # each cycle asks for at least two rankings, so contexts repeat
     assert 0 < len(ranked) < 2 * engine.cycle_index
     assert set(ranked.values()) == {1}
+
+
+def test_chord_context_holds_as_many_chords_as_the_model_order(monkeypatch):
+    lengths = []
+    next_chord = ChordSequenceModel.next_chord
+
+    def recording(model, history, style, rank=1):
+        lengths.append(len(history))
+        return next_chord(model, history, style, rank)
+
+    monkeypatch.setattr(ChordSequenceModel, "next_chord", recording)
+    engine = make_engine(chord_order=20)
+    for _ in range(10):
+        engine.compose_block()
+    # the tenth cycle's follow-up chord sees all 18 earlier chords and the first
+    assert max(lengths) == 19
+
+
+_CORPUS_MODEL = train(bundled_corpus(), order=3)
+
+
+@st.composite
+def drawn_themes(draw):
+    """A theme whose notes share few pitches, so that notes of one pitch
+    overlap, and whose onsets lie off the cell grid, so that kicks doubling
+    them overlap."""
+    length = draw(st.integers(1, 2))
+    end = length * MEASURE_TICKS
+    notes = []
+    for _ in range(draw(st.integers(1, 8))):
+        onset = draw(st.integers(0, end // 30 - 1)) * 30
+        notes.append(Note(draw(st.sampled_from((55, 60, 62, 64))), onset,
+                          draw(st.integers(1, end - onset)), draw(st.integers(1, 127))))
+    notes.sort(key=lambda n: (n.onset, n.pitch))
+    key = Key(draw(st.integers(0, 11)), draw(st.sampled_from(sorted(SCALES))))
+    return MelodicFragment(tuple(notes), length, key)
+
+
+def _compose_midi(themes, config, schedule):
+    """SMF bytes and score of four blocks over `themes` (ids 0..), with the
+    object of theme `schedule[i]` activated at the start of block i; object
+    `evolved` takes a theme bred from theme 0's on the first tick."""
+    engine = conductor.Engine(config, ThemeLibrary(dict(enumerate(themes))), _CORPUS_MODEL)
+    events = [(0, AssignTheme(f"o{i}", i)) for i in range(len(themes))]
+    events.append((0, SetEdge("o0", "evolved", 0.9)))
+    for block, choice in enumerate(schedule):
+        name = "evolved" if choice == len(themes) else f"o{choice}"
+        events.append((int(block * engine.block_ms), ActivateConcept(name, "object", 100.0, "set")))
+    engine.run(int(len(schedule) * engine.block_ms), message_feed=trace_feed(events))
+    return score_to_midi_bytes(engine.score()), engine.score()
+
+
+@settings(max_examples=40, deadline=None)
+@given(themes=st.lists(drawn_themes(), min_size=1, max_size=3), data=st.data(),
+       seed=st.integers(0, 2**16), agents=st.integers(1, 4), style=st.sampled_from(STYLES))
+def test_composed_scores_round_trip_through_the_smf_reader(themes, data, seed, agents, style):
+    schedule = data.draw(st.lists(st.integers(0, len(themes)), min_size=4, max_size=4))
+    config = EngineConfig(seed=seed, melody_agents=agents, style=style, h_min=0.0,
+                          reward_gate=0.0)
+    blob, score = _compose_midi(themes, config, schedule)
+    parsed = read_midi_bytes(blob)
+    assert [t.notes for t in parsed.tracks] == [
+        sorted(t.notes, key=lambda n: (n.onset, n.pitch)) for t in score.tracks]
+    assert _compose_midi(themes, config, schedule)[0] == blob
 
 
 def test_replay_realizes_each_committed_placement_once(monkeypatch):

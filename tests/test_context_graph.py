@@ -166,7 +166,7 @@ def test_affect_snapshot_order():
     g.apply_message(SetAffect("happiness", 1.0, "set"))
     g.apply_message(SetAffect("threat", 6.0, "set"))
     assert g.affect_snapshot() == AffectSnapshot(happiness=1.0, threat=6.0)
-    assert g.affect_snapshot().as_tuple() == (1.0, 0.0, 0.0, 0.0, 0.0, 6.0)
+    assert tuple(g.affect_snapshot()) == (1.0, 0.0, 0.0, 0.0, 0.0, 6.0)
 
 
 def test_dump_is_stable():

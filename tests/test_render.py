@@ -64,6 +64,27 @@ def test_note_off_before_on_at_same_tick():
     assert len(parsed.tracks[0].notes) == 2
 
 
+def test_track_add_cuts_a_sounding_note_of_the_same_pitch():
+    track = Track("t", 0)
+    for note in (ScoreNote(64, 0, 480, 88), ScoreNote(60, 30, 480, 90),
+                 ScoreNote(64, 60, 480, 70), ScoreNote(64, 540, 60, 80)):
+        track.add(note)
+    # the second 64 ends exactly where the third starts: no cut
+    assert track.notes == [ScoreNote(64, 0, 60, 88), ScoreNote(60, 30, 480, 90),
+                           ScoreNote(64, 60, 480, 70), ScoreNote(64, 540, 60, 80)]
+    parsed = read_midi_bytes(score_to_midi_bytes(Score(120.0, [track])))
+    assert parsed.tracks[0].notes == sorted(track.notes, key=lambda n: (n.onset, n.pitch))
+
+
+def test_track_add_keeps_one_note_per_pitch_and_onset():
+    track = Track("t", 9)
+    track.add(ScoreNote(36, 3830, 60, 100))
+    track.add(ScoreNote(36, 3840, 60, 90))   # a kick across a block boundary
+    track.add(ScoreNote(36, 3840, 60, 110))  # the later note of an onset stays
+    assert track.notes == [ScoreNote(36, 3830, 10, 100), ScoreNote(36, 3840, 60, 110)]
+    read_midi_bytes(score_to_midi_bytes(Score(120.0, [track])))
+
+
 def test_vlq_encoding():
     assert _vlq(0) == b"\x00"
     assert _vlq(127) == b"\x7f"
