@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -281,10 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ams", description="adaptive music system")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # checked at parse time, before any file is read or socket opened
+    def seconds(value: str) -> float:
+        if not 0.0 <= float(value) < math.inf:
+            raise argparse.ArgumentTypeError(f"duration must be finite and >= 0, got {value}")
+        return float(value)
+
+    def milliseconds(value: str) -> int:
+        if int(value) < 1:
+            raise argparse.ArgumentTypeError(f"duration must be >= 1 ms, got {value}")
+        return int(value)
+
+    def order(value: str) -> int:
+        if int(value) < 1:
+            raise argparse.ArgumentTypeError(f"order must be >= 1, got {value}")
+        return int(value)
+
     p = sub.add_parser("serve", help="run live with an OSC listener")
     p.add_argument("--config", help="config file path")
     p.add_argument("--port", type=int, help="override the OSC UDP port")
-    p.add_argument("--duration-s", type=float, default=60.0)
+    p.add_argument("--duration-s", type=seconds, default=60.0)
     p.add_argument("--out", help="write the final score as a MIDI file")
     p.add_argument("--cycle-log", help="write per-cycle JSON lines")
     p.add_argument("--score-log", help="write per-note JSON lines")
@@ -296,17 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="JSONL trace of game events")
     p.add_argument("--config", help="config file path")
     p.add_argument("--seed", type=int, help="override the engine seed")
-    p.add_argument("--duration-ms", type=int,
+    p.add_argument("--duration-ms", type=milliseconds,
                    help="engine time to simulate (default: trace end + 2 blocks)")
     p.add_argument("--out", help="write the final score as a MIDI file")
     p.add_argument("--cycle-log", help="write per-cycle JSON lines")
     p.add_argument("--score-log", help="write per-note JSON lines")
     p.set_defaults(func=cmd_replay)
-
-    def order(value: str) -> int:  # checked before any corpus is read
-        if int(value) < 1:
-            raise argparse.ArgumentTypeError(f"order must be >= 1, got {value}")
-        return int(value)
 
     p = sub.add_parser("train-chords", help="train the next-chord model")
     p.add_argument("corpus", nargs="*",

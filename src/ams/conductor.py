@@ -113,6 +113,8 @@ class Engine:
         checked once, in vertex insertion order; one themed by a message
         first is never checked."""
         graph = self.graph
+        if not self._unthemed and len(graph.vertices) == self._vertices_seen:
+            return
         for vid in graph.vertex_ids(self._vertices_seen):
             vertex = graph.vertices[vid]
             if vertex.kind is VertexKind.OBJECT and vertex.theme is None:
@@ -327,15 +329,17 @@ class Engine:
         time; None runs as fast as possible.  Composition happens one block
         ahead of playback.
         """
-        n_blocks = -(-duration_ms // self.config.block_ms)
+        block_ms = self.config.block_ms
+        n_blocks = -(-duration_ms // block_ms)
+        put = self.queue.put
         start = clock.now() if clock is not None else 0.0
         while self.time_ms < duration_ms:
             if message_feed is not None:
                 for msg in message_feed(self.time_ms):
-                    self.queue.put(msg)
+                    put(msg)
             # compose every block whose lead-in deadline has passed
             while (self.cycle_index < n_blocks
-                   and max(0.0, (self.cycle_index - 1) * self.config.block_ms) <= self.time_ms):
+                   and max(0.0, (self.cycle_index - 1) * block_ms) <= self.time_ms):
                 record = self.compose_block()
                 if on_block is not None:
                     on_block(record)

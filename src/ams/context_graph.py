@@ -5,11 +5,15 @@ Activation spreads one hop per tick from the pre-tick state, edges are
 inferred from co-activation above 50, and both activations and inferred
 edge weights fade over time.
 
-The state lives in numpy arrays, so a tick costs a fixed number of array
+The state lives in numpy arrays, so a tick costs a fixed handful of array
 operations plus work in proportion to what changed.  Vertex indices follow
 insertion order, with the six affect vertices first (index i is
 AFFECT_CATEGORIES[i]).  Edge slots are dense: removing an edge moves the
-last slot into its place.
+last slot into its place.  Each edge is stored in both directions, so that
+one gather and one scatter spread activation along all of them: slot s
+owns directed entries 2s (a -> b) and 2s + 1 (b -> a), for its sorted
+endpoint ids a < b, and both entries carry the edge's weight and inferred
+flag.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
 
 
 def _grown(array: np.ndarray) -> np.ndarray:
-    """`array` with its last axis doubled; the new entries are zero."""
-    bigger = np.zeros(array.shape[:-1] + (2 * array.shape[-1],), dtype=array.dtype)
-    bigger[..., :array.shape[-1]] = array
+    """`array` at twice its length; the new entries are zero."""
+    bigger = np.zeros(2 * len(array), dtype=array.dtype)
+    bigger[:len(array)] = array
     return bigger
 
 
@@ -116,12 +120,12 @@ class ConceptEdge:
 
     @property
     def weight(self) -> float:
-        return self._graph._weights.item(self._graph._slots[(self.a, self.b)])
+        return self._graph._weights.item(2 * self._graph._slots[(self.a, self.b)])
 
     @property
     def explicit(self) -> bool:
         """Explicit edges never fade."""
-        return not self._graph._inferred[self._graph._slots[(self.a, self.b)]]
+        return not self._graph._inferred.item(2 * self._graph._slots[(self.a, self.b)])
 
 
 class _Vertices(Mapping):
@@ -170,10 +174,13 @@ class ConceptGraph:
 
     Storage: one activation per vertex index in a float64 array, affect
     vertices at indices 0-5 and every other vertex after them in insertion
-    order; per edge slot, endpoint indices, a weight and an inferred flag;
-    edge keys only in the key -> slot map, in creation order.  `vertices`
-    and `edges` are read-only mappings onto views of these arrays; the
-    graph changes only through `apply_message` and `tick`.
+    order; per directed edge (two per edge slot, a -> b at 2s and b -> a at
+    2s + 1), the source and target vertex indices, the weight and the
+    inferred flag, each written to both directions at once; the number of
+    inferred edges as an int; edge keys only in the key -> slot map, in
+    creation order.  `vertices` and `edges` are read-only mappings onto
+    views of these arrays; the graph changes only through `apply_message`
+    and `tick`.
     """
 
     def __init__(self, params: GraphParams | None = None):
@@ -188,16 +195,18 @@ class ConceptGraph:
         self._adjacency: list[dict[int, int]] = []  # neighbour index -> edge slot
         self._activation = np.zeros(_INITIAL_CAPACITY)
         self._themed = np.zeros(_INITIAL_CAPACITY, dtype=bool)
-        # per edge slot
+        # per edge slot s, directed entries 2s (a -> b) and 2s + 1 (b -> a)
         self._slots: dict[tuple[str, str], int] = {}  # creation order
-        self._ends = np.zeros((2, _INITIAL_CAPACITY), dtype=np.intp)
-        self._weights = np.zeros(_INITIAL_CAPACITY)
-        self._inferred = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._sources = np.zeros(2 * _INITIAL_CAPACITY, dtype=np.intp)
+        self._targets = np.zeros(2 * _INITIAL_CAPACITY, dtype=np.intp)
+        self._weights = np.zeros(2 * _INITIAL_CAPACITY)
+        self._inferred = np.zeros(2 * _INITIAL_CAPACITY, dtype=bool)
+        self._n_inferred = 0  # edges, not directions
         # every _set_edge and _remove_edge bumps the structure version,
         # which keys the hot-pair cache
         self._version = 0
         self._hot_key: tuple[bytes, int] | None = None
-        self._hot_slots = np.zeros(0, dtype=np.intp)
+        self._hot_directed = np.zeros(0, dtype=np.intp)
 
         self.vertices: Mapping[str, ConceptVertex] = _Vertices(self)
         self.edges: Mapping[tuple[str, str], ConceptEdge] = _Edges(self)
@@ -234,36 +243,48 @@ class ConceptGraph:
     def _set_edge(self, a: str, b: str, weight: float, explicit: bool) -> None:
         if a == b:
             raise GraphError(f"self-loop on {a!r}")
-        ia, ib = self._index[a], self._index[b]
+        key = _edge_key(a, b)
+        ia, ib = self._index[key[0]], self._index[key[1]]
         if self._kinds[ia] is VertexKind.AFFECT and self._kinds[ib] is VertexKind.AFFECT:
             raise GraphError("edges never form between affect vertices")
-        key = _edge_key(a, b)
         slot = self._slots.get(key)
         if slot is None:
             slot = len(self._slots)
-            if slot == len(self._weights):
-                self._ends = _grown(self._ends)
+            if 2 * slot == len(self._weights):
+                self._sources = _grown(self._sources)
+                self._targets = _grown(self._targets)
                 self._weights = _grown(self._weights)
                 self._inferred = _grown(self._inferred)
             self._slots[key] = slot
-            self._ends[:, slot] = (ia, ib)
+            d = 2 * slot
+            self._sources[d] = self._targets[d + 1] = ia
+            self._sources[d + 1] = self._targets[d] = ib
             self._adjacency[ia][ib] = slot
             self._adjacency[ib][ia] = slot
-        self._weights[slot] = weight
-        self._inferred[slot] = not explicit
+        else:
+            d = 2 * slot
+            self._n_inferred -= self._inferred.item(d)
+        # one scalar store per entry: a two-entry slice store costs a few
+        # times more, and a world of 5k edges is loaded through here
+        self._weights[d] = self._weights[d + 1] = weight
+        self._inferred[d] = self._inferred[d + 1] = not explicit
+        self._n_inferred += not explicit
         self._version += 1
 
     def _remove_edge(self, key: tuple[str, str]) -> None:
         slot = self._slots.pop(key)
-        ia, ib = self._ends[:, slot].tolist()
+        d = 2 * slot
+        ia, ib = self._sources.item(d), self._sources.item(d + 1)
         del self._adjacency[ia][ib]
         del self._adjacency[ib][ia]
+        self._n_inferred -= self._inferred.item(d)
         last = len(self._slots)
         if slot != last:
-            ma, mb = self._ends[:, last].tolist()
-            self._slots[_edge_key(self._ids[ma], self._ids[mb])] = slot
-            for array in (self._ends, self._weights, self._inferred):
-                array[..., slot] = array[..., last]
+            m = 2 * last
+            ma, mb = self._sources.item(m), self._sources.item(m + 1)
+            self._slots[(self._ids[ma], self._ids[mb])] = slot
+            for array in (self._sources, self._targets, self._weights, self._inferred):
+                array[d:d + 2] = array[m:m + 2]
             self._adjacency[ma][mb] = slot
             self._adjacency[mb][ma] = slot
         self._version += 1
@@ -318,56 +339,61 @@ class ConceptGraph:
 
         Every step takes the scalar rules' IEEE operations in their order:
         offers are `activation * weight` and a vertex keeps the larger of
-        its activation and its offers; boosts are `min(1, w + boost)`;
-        fades are `min(100, max(0, a - fade))` and `max(0, w - fade)`.  An
-        explicit weight of -0.0 offers -0.0, which `max(0, a - fade)` turns
-        back into 0.0 before the tick ends."""
+        its activation and its offers, taken edge by edge in slot order,
+        a -> b before b -> a; boosts are `min(1, w + boost)`; fades are
+        `min(100, max(0, a - fade))` and `max(0, w - fade)`.  An explicit
+        weight of -0.0 offers -0.0, which `max(0, a - fade)` turns back
+        into 0.0 before the tick ends.
+
+        The offers are gathered before inference boosts a weight, and the
+        hot set is read before the offers land, so both see the pre-tick
+        state without a copy of it."""
         if dt_ms <= 0:
             raise GraphError("dt_ms must be positive")
         activation = self._activation[:len(self._ids)]
-        pre = activation.copy()
-
-        # spread, simultaneously from the pre-tick state
-        if self._slots:
-            ends = self._ends[:, :len(self._slots)]
-            weights = self._weights[:len(self._slots)]
-            np.maximum.at(activation, ends[1], pre[ends[0]] * weights)
-            np.maximum.at(activation, ends[0], pre[ends[1]] * weights)
-
-        self._infer_edges(pre)
+        n = 2 * len(self._slots)
+        offers = activation[self._sources[:n]] * self._weights[:n]
+        self._infer_edges(activation)
+        np.maximum.at(activation, self._targets[:n], offers)
 
         # fading
         vertex_fade = self.params.vertex_fade_per_s * dt_ms / 1000.0
         np.subtract(activation, vertex_fade, out=activation)
         np.maximum(activation, 0.0, out=activation)
         np.minimum(activation, MAX_LEVEL, out=activation)
-        inferred = self._inferred[:len(self._slots)]
-        if inferred.any():
+        if self._n_inferred:
+            n = 2 * len(self._slots)  # with the edges inferred above
             edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
-            weights = self._weights[:len(self._slots)]
+            weights, inferred = self._weights[:n], self._inferred[:n]
             faded = np.maximum(weights - edge_fade, 0.0)
             np.copyto(weights, faded, where=inferred)
-            doomed = np.flatnonzero(inferred & (faded < EDGE_REMOVAL_THRESHOLD))
-            # every key before the first removal, which moves the last slot
-            ids, ends = self._ids, self._ends
-            for key in [_edge_key(ids[ends.item(0, slot)], ids[ends.item(1, slot)])
-                        for slot in doomed.tolist()]:
-                self._remove_edge(key)
+            # the minimum may be an explicit edge's, which only costs the scan
+            if faded.item(faded.argmin()) < EDGE_REMOVAL_THRESHOLD:
+                doomed = (inferred[::2] & (faded[::2] < EDGE_REMOVAL_THRESHOLD)).nonzero()[0]
+                # every key before the first removal, which moves the last slot
+                ids, sources = self._ids, self._sources
+                for key in [(ids[sources.item(2 * slot)], ids[sources.item(2 * slot + 1)])
+                            for slot in doomed.tolist()]:
+                    self._remove_edge(key)
 
         self.clock += dt_ms
 
-    def _infer_edges(self, pre: np.ndarray) -> None:
+    def _infer_edges(self, activation: np.ndarray) -> None:
         """Edge inference between co-activated concept (non-affect) vertices:
         every hot pair without an edge gets an inferred one, and every
-        inferred edge of a hot pair is boosted.  The boosted slots are
-        cached until the hot set or the structure changes."""
-        hot = np.flatnonzero(pre[N_AFFECT:] > CO_ACTIVATION_THRESHOLD)
+        inferred edge of a hot pair is boosted in both directions.  The
+        boosted entries are cached until the hot set or the structure
+        changes."""
+        concepts = activation[N_AFFECT:]
+        if len(concepts) < 2 or not concepts.item(concepts.argmax()) > CO_ACTIVATION_THRESHOLD:
+            return
+        hot = (concepts > CO_ACTIVATION_THRESHOLD).nonzero()[0]
         if len(hot) < 2:
             return
         key = (hot.tobytes(), self._version)
         if key != self._hot_key:
             hot = (hot + N_AFFECT).tolist()
-            slots = []
+            directed = []
             for n, i in enumerate(hot):
                 neighbours = self._adjacency[i]
                 for j in hot[n + 1:]:
@@ -375,15 +401,15 @@ class ConceptGraph:
                     if slot is None:
                         self._set_edge(self._ids[i], self._ids[j],
                                        self.params.inferred_edge_weight, explicit=False)
-                    elif self._inferred[slot]:
-                        slots.append(slot)
-            self._hot_slots = np.array(slots, dtype=np.intp)
+                    elif self._inferred.item(2 * slot):
+                        directed += (2 * slot, 2 * slot + 1)
+            self._hot_directed = np.array(directed, dtype=np.intp)
             # an edge created here is boosted from the next tick on, so a
             # walk that created one is not cached
             self._hot_key = key if self._version == key[1] else None
-        if len(self._hot_slots):
-            boosted = self._weights[self._hot_slots] + self.params.co_activation_boost
-            self._weights[self._hot_slots] = np.minimum(boosted, 1.0)
+        if len(self._hot_directed):
+            boosted = self._weights[self._hot_directed] + self.params.co_activation_boost
+            self._weights[self._hot_directed] = np.minimum(boosted, 1.0)
 
     # -- queries ------------------------------------------------------------
 
@@ -427,7 +453,7 @@ class ConceptGraph:
                 if len(found) == k:
                     break
             for j, slot in self._adjacency[i].items():
-                weight = weights.item(slot)
+                weight = weights.item(2 * slot)
                 if weight <= 0.0:
                     continue
                 nd = d + 1.0 / weight

@@ -312,7 +312,11 @@ class MessageQueue:
             self.put(msg)
 
     def drain(self) -> list[GameMessage]:
-        """Atomically remove and return all queued messages in arrival order."""
+        """Atomically remove and return all queued messages in arrival order.
+        An empty queue returns at once: only the consumer removes items, so
+        a message that arrives during the check waits for the next drain."""
+        if not self._items:
+            return []
         with self._lock:
             items = list(self._items)
             self._items.clear()

@@ -188,6 +188,28 @@ def test_serve_port_out_of_range_exits_usage_before_binding(monkeypatch, capsys)
     assert capsys.readouterr().err == "config error: osc_port outside 0..65535\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.001", "x"])
+def test_serve_bad_duration_exits_usage_before_binding(value, monkeypatch, capsys):
+    ports = _record_server_ports(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--duration-s", value])
+    assert exc.value.code == EXIT_USAGE
+    assert "--duration-s" in capsys.readouterr().err
+    assert ports == []
+
+
+@pytest.mark.parametrize("value", ["0", "-5000", "1.5", "x"])
+def test_replay_bad_duration_exits_usage(value, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    out = tmp_path / "out.mid"
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", str(trace), "--duration-ms", value, "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "--duration-ms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines", [
     "engine.reward_max = 0\nengine.reward_gate = 0.0",
     "xcs.population_cap = 5",

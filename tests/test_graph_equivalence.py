@@ -7,6 +7,8 @@ to the sign of zero, after any sequence of messages and ticks.
 """
 
 import heapq
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -63,6 +65,10 @@ class ReferenceGraph:
         self._adjacency = {}
         self.pruned = 0
         self.boosted = 0
+        self.taken = Counter()  # (from, to) -> offers that raised an activation
+        # offers of -0.0 to a vertex at 0.0, which the arrays make and the
+        # scalar rule skips
+        self.negative_zero_offers = 0
         for category in AFFECT_CATEGORIES:
             self._add_vertex(_Vertex(category, VertexKind.AFFECT))
 
@@ -144,6 +150,9 @@ class ReferenceGraph:
         pre = {vid: v.activation for vid, v in self.vertices.items()}
         for edge in self.edges.values():
             if edge.weight <= 0.0:
+                if math.copysign(1.0, edge.weight) < 0.0:
+                    self.negative_zero_offers += sum(
+                        self.vertices[end].activation == 0.0 for end in (edge.a, edge.b))
                 continue
             act_a, act_b = pre[edge.a], pre[edge.b]
             if act_a > 0.0:
@@ -151,11 +160,13 @@ class ReferenceGraph:
                 vb = self.vertices[edge.b]
                 if offered > vb.activation:
                     vb.activation = offered
+                    self.taken[edge.a, edge.b] += 1
             if act_b > 0.0:
                 offered = act_b * edge.weight
                 va = self.vertices[edge.a]
                 if offered > va.activation:
                     va.activation = offered
+                    self.taken[edge.b, edge.a] += 1
         hot = [vid for vid, act in pre.items()
                if act > CO_ACTIVATION_THRESHOLD
                and self.vertices[vid].kind is not VertexKind.AFFECT]
@@ -338,6 +349,21 @@ DOMINANT_TIES = [AssignTheme("b", 1), AssignTheme("a", 2), AssignTheme("c", 3),
                  *hot("b", "a"), 30, *hot("c", level=10.0), 30, 30,
                  SetEdge("a", "d", 1.0), AssignTheme("d", 0), 30]
 
+# an explicit weight of -0.0 offers -0.0 to vertices at 0.0, which the
+# spread leaves at -0.0 until the fade turns them back into 0.0
+NEGATIVE_ZERO_OFFER = [ActivateConcept("a", "object", 0.0, "set"),
+                       ActivateConcept("a", "object", 0.0, "set"),
+                       SetEdge("a", "b", -0.0),
+                       ActivateConcept("a", "object", 0.0, "set"), 30]
+# the inferred a-b edge (slot 0) is pruned on the fourth tick, and the
+# explicit c-d edge moves from the last slot into its place; c and d stay
+# at 0 until then, so every offer along c-d, in either direction, is
+# spread from the moved slot
+PRUNE_MOVES_EXPLICIT = (hot("a", "b", level=51.0)
+                        + [30, SetEdge("c", "d", 0.5), 30, 30, 30,
+                           ActivateConcept("c", "object", 40.0, "set"), 30,
+                           ActivateConcept("d", "object", 80.0, "set"), 30])
+
 # two themed objects at the same distance: the smaller id pops first,
 # whatever the insertion order
 NEAREST_TIES = [AssignTheme("e", 1), AssignTheme("b", 2), AssignTheme("d", 3),
@@ -350,6 +376,8 @@ NEAREST_TIES = [AssignTheme("e", 1), AssignTheme("b", 2), AssignTheme("d", 3),
 @example(SLOW_HOT_FADE, HOT_SET_CHANGES)
 @example(NO_FADE, DOMINANT_TIES)
 @example(NO_FADE, NEAREST_TIES)
+@example(NO_FADE, NEGATIVE_ZERO_OFFER)
+@example(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
 @given(PARAMS, st.lists(OPS, max_size=40))
 def test_array_graph_matches_reference(params, ops):
     run_both(params, ops)
@@ -374,6 +402,14 @@ def test_examples_reach_the_cases_they_name():
     reference = run_both(NO_FADE, NEAREST_TIES)
     assert reference.nearest_themed("a", 1) == [2]
     assert reference.nearest_themed("a", 3) == [2, 1, 3]
+
+    reference = run_both(NO_FADE, NEGATIVE_ZERO_OFFER)
+    assert repr(reference.edges[("a", "b")].weight) == "-0.0"
+    assert reference.negative_zero_offers == 2
+
+    reference = run_both(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
+    assert reference.pruned == 1 and list(reference.edges) == [("c", "d")]
+    assert reference.taken[("c", "d")] >= 1 and reference.taken[("d", "c")] >= 1
 
 
 @pytest.mark.parametrize("name", ["a", "missing"])
