@@ -269,7 +269,8 @@ class ChordSequenceModel:
 
     @classmethod
     def load(cls, path) -> "ChordSequenceModel":
-        """Read a `save`d model; a truncated or malformed file is a
+        """Read a `save`d model; a truncated or malformed file, an order
+        that is not an int >= 1 or a count that is not an int >= 1 is a
         ChordError naming the path."""
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -289,7 +290,18 @@ class ChordSequenceModel:
                 model.counts[ctx] = {_token_from_key(k): n for k, n in table.items()}
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ChordError(f"{path}: malformed model body: {exc!r}") from None
+        if not _is_count(model.order):
+            raise ChordError(f"{path}: order must be an int >= 1, got {model.order!r}")
+        for ctx, table in model.counts.items():
+            for token, n in table.items():
+                if not _is_count(n):
+                    raise ChordError(f"{path}: count of {_token_key(token)!r} after "
+                                     f"{[_token_key(t) for t in ctx]} must be an int >= 1, got {n!r}")
         return model
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def train(tokens: list[Token], order: int = 3) -> ChordSequenceModel:

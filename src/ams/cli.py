@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .chord_model import (
     ChordError,
@@ -24,7 +23,7 @@ from .chord_model import (
     train,
 )
 from .conductor import ConductorError, Engine
-from .config import ASSET_ROOT, ConfigError, EngineConfig, load_config
+from .config import ASSET_ROOT, ConfigError, EngineConfig, load_config, read_text
 from .context_graph import GraphError
 from .melody import MelodyError
 from .osc_gateway import MESSAGE_TYPES, GameMessage, MessageType, OscServer
@@ -166,7 +165,7 @@ def cmd_replay(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     engine = build_engine(config)
-    events = parse_trace(Path(args.trace).read_text(), str(args.trace))
+    events = parse_trace(read_text(args.trace, TraceError), str(args.trace))
     duration = args.duration_ms or events[-1][0] + int(2 * engine.block_ms)
     engine.run(duration, message_feed=trace_feed(events), clock=None)
     write_outputs(engine, args)
@@ -184,7 +183,7 @@ def cmd_train_chords(args) -> int:
             if not sep or style not in STYLES:
                 raise ChordError(
                     f"corpus must be style:path with style in {STYLES}, got {spec!r}")
-            tokens.extend(ingest_corpus(Path(path).read_text(), style))
+            tokens.extend(ingest_corpus(read_text(path, ChordError), style))
     else:
         tokens = bundled_corpus()
     model = train(tokens, order=args.order)
@@ -269,7 +268,7 @@ def cmd_repl(args) -> int:
                 print(f"wrote {words[1]}")
             else:
                 print(f"unrecognized: {line!r} (try 'help')")
-        except (ValueError, GraphError, ThemeError, ConductorError) as exc:
+        except (ValueError, GraphError, ThemeError, ConductorError, OSError) as exc:
             print(f"error: {exc}")
     return EXIT_OK
 

@@ -69,7 +69,6 @@ class Engine:
         self.matrix = ResourceMatrix()
         self.chord_history: list[ChordSymbol] = []
         self.cycle_index = 0
-        self.time_ms = 0
         self.cycle_log: list[dict] = []
         # unthemed objects not yet checked for evolution, in vertex order
         self._unthemed: list[str] = []
@@ -91,6 +90,11 @@ class Engine:
     def block_ms(self) -> float:
         return self.config.block_ms
 
+    @property
+    def time_ms(self) -> int:
+        """Engine time: the graph's clock, advanced by each tick."""
+        return self.graph.clock
+
     # -- graph maintenance --------------------------------------------------
 
     def ingest(self) -> None:
@@ -105,7 +109,6 @@ class Engine:
         self.ingest()
         self._maybe_evolve_themes()
         self.graph.tick(self.config.tick_ms)
-        self.time_ms += self.config.tick_ms
 
     def _maybe_evolve_themes(self) -> None:
         """Evolve a theme for any unthemed object once its first edge
@@ -266,10 +269,10 @@ class Engine:
     def _settle(self, agent: MelodyAgent, outcome: Proposal | Abstention,
                 snapshot: AffectSnapshot, block_start: int) -> tuple[dict, tuple[Note, ...]]:
         """End an agent's turn; returns its log record and the notes it
-        placed.  A placed proposal is committed: its cells are consumed, it
-        is realized once, written to the agent's track and reinforced with
-        the clamped reward.  A failed action is reinforced with zero reward;
-        a gate abstention leaves the population untouched."""
+        placed.  A placed proposal is committed: it is realized once, and
+        that phrase is consumed from the matrix, written to the agent's
+        track and rewarded (clamped).  A failed action is reinforced with
+        zero reward; a gate abstention leaves the population untouched."""
         if isinstance(outcome, Abstention):
             if outcome.reason != "gate":
                 agent.population.update(outcome.action_set, 0.0)
@@ -281,9 +284,8 @@ class Engine:
                 "estimated_reward": round(outcome.estimated_reward, 6),
             }, ()
         config = self.config
-        placement = outcome.placement
-        self.matrix.consume(placement)
-        realized = placed_fragment(placement)
+        realized = placed_fragment(outcome.fragment, outcome.transposition, outcome.time_shift)
+        self.matrix.consume(realized)
         track = self.melody_tracks[agent.agent_id - 1]
         for note in realized.notes:
             track.add(ScoreNote(note.pitch, block_start + note.onset,
@@ -300,8 +302,8 @@ class Engine:
             "harmonic_fitness": round(outcome.harmonic_fitness, 6),
             "style_fit": round(outcome.style_fit, 6),
             "score": round(outcome.harmonic_fitness + outcome.style_fit, 6),
-            "transposition": placement.transposition,
-            "shift": placement.time_shift,
+            "transposition": outcome.transposition,
+            "shift": outcome.time_shift,
             "pitches": [n.pitch for n in realized.notes],
             "onsets": [n.onset for n in realized.notes],
             "notes_per_second": round(features.notes_per_second, 6),

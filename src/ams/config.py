@@ -166,8 +166,16 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> EngineConfig:
     return config
 
 
+def read_text(path, error: type[Exception]) -> str:
+    """An input file's UTF-8 text; other bytes raise `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path) -> EngineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} not found")
-    return parse_config_text(path.read_text(), base_dir=path.parent)
+    return parse_config_text(read_text(path, ConfigError), base_dir=path.parent)

@@ -384,10 +384,7 @@ class ConceptGraph:
         inferred edge of a hot pair is boosted in both directions.  The
         boosted entries are cached until the hot set or the structure
         changes."""
-        concepts = activation[N_AFFECT:]
-        if len(concepts) < 2 or not concepts.item(concepts.argmax()) > CO_ACTIVATION_THRESHOLD:
-            return
-        hot = (concepts > CO_ACTIVATION_THRESHOLD).nonzero()[0]
+        hot = (activation[N_AFFECT:] > CO_ACTIVATION_THRESHOLD).nonzero()[0]
         if len(hot) < 2:
             return
         key = (hot.tobytes(), self._version)

@@ -1,19 +1,22 @@
 """Harmonic resource matrix: 12 pitch-class rows by time-cell columns.
 
 Chord choices populate resources (root 1.0, chord tones 0.8, carryover
-clamped to 0.5), melodic placements are scored by the mean resource value
-of the cells they inhabit, and committed notes consume resources at their
-own pitch class plus half of the semitone neighbors and the tritone.
+clamped to 0.5), a phrase is scored by the mean resource value of the cells
+its notes inhabit, and committed notes consume resources at their own pitch
+class plus half of the semitone neighbors and the tritone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chord_model import ChordSymbol
 from .render import BLOCK_MEASURES, MEASURE_TICKS, TICKS_PER_CELL
+
+if TYPE_CHECKING:  # melody imports this module
+    from .melody import MelodicFragment
 
 ROOT_VALUE = 1.0
 CHORD_TONE_VALUE = 0.8
@@ -25,20 +28,12 @@ class HarmonyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Placement:
-    """A melodic fragment positioned in the current two-measure region."""
-
-    fragment: "MelodicFragment"  # noqa: F821 - melody imports this module
-    transposition: int  # semitones
-    time_shift: int  # cells
-
-
 class ResourceMatrix:
     """12 x T grid of harmonic resource values in [0, 1].
 
     The window spans two blocks and slides by one block on each extend;
-    the last block (the "active region") is where new placements land.
+    the last block (the "active region") is where new phrases land; tick 0
+    of a phrase is the region's first cell.
     """
 
     cells_per_measure = MEASURE_TICKS // TICKS_PER_CELL
@@ -86,47 +81,43 @@ class ResourceMatrix:
             self.cells[:, col:col + width] = column[:, None]
             col += width
 
-    # -- placement geometry -------------------------------------------------
+    # -- phrase geometry ----------------------------------------------------
 
-    def note_cells(self, onset_ticks: int, duration_ticks: int) -> range:
-        """Cell indices (fragment-relative) a note occupies."""
-        start = onset_ticks // TICKS_PER_CELL
-        end = -(-(onset_ticks + duration_ticks) // TICKS_PER_CELL)
-        return range(start, end)
-
-    def placement_cells(self, placement: Placement) -> tuple[np.ndarray, np.ndarray]:
-        """(pitch-class rows, absolute columns) for every inhabited cell."""
+    def fragment_cells(self, fragment: MelodicFragment) -> tuple[np.ndarray, np.ndarray]:
+        """(pitch-class rows, absolute columns) for every cell the phrase's
+        notes inhabit, at their own pitches and onsets."""
         rows: list[int] = []
         cols: list[int] = []
-        for note in placement.fragment.notes:
-            pc = (note.pitch + placement.transposition) % 12
-            for cell in self.note_cells(note.onset, note.duration):
-                col = self.region_start + placement.time_shift + cell
-                if col < self.region_start or col >= self.columns:
-                    raise HarmonyError(
-                        f"placement cell {col} outside active region "
-                        f"[{self.region_start}, {self.columns})")
-                rows.append(pc)
-                cols.append(col)
+        for note in fragment.notes:
+            start = self.region_start + note.onset // TICKS_PER_CELL
+            end = self.region_start - (-(note.onset + note.duration) // TICKS_PER_CELL)
+            if start < self.region_start or end > self.columns:
+                raise HarmonyError(
+                    f"note cells [{start}, {end}) outside active region "
+                    f"[{self.region_start}, {self.columns})")
+            rows += [note.pitch % 12] * (end - start)
+            cols += range(start, end)
         if not rows:
-            raise HarmonyError("placement inhabits no cells")
+            raise HarmonyError("phrase inhabits no cells")
         return np.array(rows), np.array(cols)
 
     # -- scoring and consumption --------------------------------------------
 
-    def fitness_by_transposition(self, fragment: "MelodicFragment") -> np.ndarray:  # noqa: F821
-        """(shift x 12) harmonic-fitness grid: a row per time shift that fits the
-        active region, shift 0 first (none if it is longer); transposition t reads column t % 12."""
+    def fitness_by_transposition(self, fragment: MelodicFragment) -> np.ndarray:
+        """(shift x 12) harmonic-fitness grid of an unplaced phrase: a row per
+        time shift (in cells) that fits the active region, shift 0 first (none
+        if it is longer); transposition t reads column t % 12."""
         shifts = self.region_cells - -(-fragment.span_ticks // TICKS_PER_CELL) + 1
         if shifts <= 0:
             return np.empty((0, 12))
-        rows, cols = self.placement_cells(Placement(fragment, 0, 0))
+        rows, cols = self.fragment_cells(fragment)
         pc = np.arange(12)[:, None]
         return self.cells[(rows + pc) % 12, cols + np.arange(shifts)[:, None, None]].mean(axis=-1)
 
-    def consume(self, placement: Placement) -> None:
-        """Zero inhabited cells, halve semitone neighbors and the tritone."""
-        rows, cols = self.placement_cells(placement)
+    def consume(self, fragment: MelodicFragment) -> None:
+        """Zero the cells a placed phrase inhabits, halve their semitone
+        neighbors and the tritone."""
+        rows, cols = self.fragment_cells(fragment)
         for offset in (1, -1, 6):  # a cell hit twice is halved twice
             np.multiply.at(self.cells, ((rows + offset) % 12, cols), 0.5)
         self.cells[rows, cols] = 0.0

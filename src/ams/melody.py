@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .context_graph import AffectSnapshot
-from .harmonic_context import Placement, ResourceMatrix
+from .harmonic_context import ResourceMatrix
 from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, MEASURE_TICKS, TICKS_PER_CELL, TICKS_PER_QUARTER
 from .xcs import XcsPopulation
@@ -64,9 +64,6 @@ class Key:
     def scale(self) -> tuple[int, ...]:
         return tuple((self.tonic + i) % 12 for i in SCALES[self.mode])
 
-    def transposed(self, semitones: int) -> "Key":
-        return Key((self.tonic + semitones) % 12, self.mode)
-
 
 @dataclass(frozen=True)
 class MelodicFragment:
@@ -86,11 +83,6 @@ class MelodicFragment:
         if not self.notes:
             return 0
         return max(n.onset + n.duration for n in self.notes)
-
-    def transposed(self, semitones: int) -> "MelodicFragment":
-        notes = tuple(replace(n, pitch=min(127, max(0, n.pitch + semitones)))
-                      for n in self.notes)
-        return replace(self, notes=notes, key=self.key.transposed(semitones))
 
 
 def _length_from_span(span: int, fallback: int) -> int:
@@ -256,16 +248,18 @@ def max_range(n_agents: int, style: str,
 
 @dataclass(frozen=True)
 class RangeConstraint:
-    """Inclusive pitch bounds for a voice; None means unconstrained."""
-    min_pitch: int | None = None
-    max_pitch: int | None = None
+    """Inclusive pitch bounds for a voice, inside the MIDI range 0..127, so
+    no placement it allows leaves that range.  Bounds may cross (min above
+    max): then nothing is allowed."""
+    min_pitch: int = 0
+    max_pitch: int = 127
+
+    def __post_init__(self):
+        if not (0 <= self.min_pitch <= 127 and 0 <= self.max_pitch <= 127):
+            raise MelodyError(f"pitch bounds {self.min_pitch}..{self.max_pitch} outside 0..127")
 
     def allows(self, lo: int, hi: int) -> bool:
-        if self.min_pitch is not None and lo < self.min_pitch:
-            return False
-        if self.max_pitch is not None and hi > self.max_pitch:
-            return False
-        return True
+        return self.min_pitch <= lo and hi <= self.max_pitch
 
 
 def admissible_transpositions(fragment: MelodicFragment,
@@ -287,25 +281,27 @@ def admissible_transpositions(fragment: MelodicFragment,
 @dataclass
 class Proposal:
     """An action that produced a fragment: unplaced after `prepare`, placed
-    by `placed` once a search has found where it fits."""
+    by `placed` once a search has found the transposition (semitones) and
+    time shift (cells) where it fits."""
 
     operator: int
     action_set: list
     estimated_reward: float
     fragment: MelodicFragment
-    placement: Placement | None = None
+    transposition: int = 0
+    time_shift: int = 0
     harmonic_fitness: float = 0.0
     style_fit: float = 0.0
 
-    def placed(self, found: tuple[Placement, float, float] | None) -> "Proposal | Abstention":
+    def placed(self, found: tuple[int, int, float, float] | None) -> "Proposal | Abstention":
         """This proposal at the search result, or a "search" Abstention when
         the search found nothing."""
         if found is None:
             return Abstention("search", self.operator, self.action_set,
                               self.estimated_reward)
-        placement, h_score, p_score = found
-        return replace(self, placement=placement, harmonic_fitness=h_score,
-                       style_fit=p_score)
+        transposition, time_shift, h_score, p_score = found
+        return replace(self, transposition=transposition, time_shift=time_shift,
+                       harmonic_fitness=h_score, style_fit=p_score)
 
 
 @dataclass
@@ -340,13 +336,13 @@ class MelodyAgent:
 
     def search_placement(self, fragment: MelodicFragment, matrix: ResourceMatrix,
                          style: str, n_agents: int,
-                         constraint: RangeConstraint) -> tuple[Placement, float, float] | None:
+                         constraint: RangeConstraint) -> tuple[int, int, float, float] | None:
         """Exhaustive time-shift x transposition search maximizing M = H + P.
 
         Shifts ascend from 0 and, within each, allowed transpositions ascend;
         the first maximum wins (strict >), which byte-identical replays depend
-        on.  Returns (placement, H, P), or None when no placement meets the
-        range constraint and the harmonic-fitness floor.
+        on.  Returns (transposition, time shift, H, P), or None when no
+        placement meets the range constraint and the harmonic-fitness floor.
         """
         if not fragment.notes:
             return None
@@ -358,7 +354,7 @@ class MelodyAgent:
         lo = min(n.pitch for n in fragment.notes)
         hi = max(n.pitch for n in fragment.notes)
 
-        best: tuple[float, float, float, int, int] | None = None
+        best: tuple[float, int, int, float, float] | None = None
         for shift, fitness_by_pc in enumerate(matrix.fitness_by_transposition(fragment).tolist()):
             off_beat = (fragment.notes[0].onset + shift * TICKS_PER_CELL) % TICKS_PER_QUARTER != 0
             p_score = p_by_off_beat[off_beat]
@@ -368,10 +364,10 @@ class MelodyAgent:
                 h_score = fitness_by_pc[transposition % 12]
                 m_score = h_score + p_score
                 if best is None or m_score > best[0]:
-                    best = (m_score, h_score, p_score, transposition, shift)
-        if best is None or best[1] < self.h_min:
+                    best = (m_score, transposition, shift, h_score, p_score)
+        if best is None or best[3] < self.h_min:
             return None
-        return Placement(fragment, best[3], best[4]), best[1], best[2]
+        return best[1:]
 
     def prepare(self, theme: MelodicFragment, snapshot: AffectSnapshot,
                 theme_id: int, explore_prob: float = 0.0,
@@ -400,11 +396,15 @@ class MelodyAgent:
             proposal.fragment, matrix, style, n_agents, constraint))
 
 
-def placed_fragment(placement: Placement) -> MelodicFragment:
-    """The fragment with transposition and time shift applied."""
-    moved = placement.fragment.transposed(placement.transposition)
-    ticks = placement.time_shift * TICKS_PER_CELL
-    return replace(moved, notes=tuple(replace(n, onset=n.onset + ticks) for n in moved.notes))
+def placed_fragment(fragment: MelodicFragment, transposition: int,
+                    time_shift: int) -> MelodicFragment:
+    """The phrase as it sounds: transposed by `transposition` semitones, key
+    included, and shifted by `time_shift` cells."""
+    ticks = time_shift * TICKS_PER_CELL
+    notes = tuple(replace(n, pitch=n.pitch + transposition, onset=n.onset + ticks)
+                  for n in fragment.notes)
+    key = Key((fragment.key.tonic + transposition) % 12, fragment.key.mode)
+    return replace(fragment, notes=notes, key=key)
 
 
 def realize_reward(snapshot: AffectSnapshot, realized: MelodicFragment,

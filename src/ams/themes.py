@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .chord_model import _ROOTS
+from .config import read_text
 from .melody import SCALES, Key, MelodicFragment, MelodyError, Note
 from .osc_gateway import THEME_IDS
 from .render import MEASURE_TICKS
@@ -92,7 +93,7 @@ class ThemeLibrary:
             raise ThemeError(f"theme directory {directory} not found")
         library = cls()
         for path in sorted(directory.glob("*.theme")):
-            theme_id, fragment = parse_theme(path.read_text(), str(path))
+            theme_id, fragment = parse_theme(read_text(path, ThemeError), str(path))
             if theme_id in library.themes:
                 raise ThemeError(f"{path}: duplicate theme id {theme_id}")
             library.themes[theme_id] = fragment

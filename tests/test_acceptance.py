@@ -14,7 +14,7 @@ from ams.chord_model import parse_chord
 from ams.cli import main as cli_main
 from ams.config import ASSET_ROOT
 from ams.context_graph import AffectSnapshot, ConceptGraph, GraphParams
-from ams.harmonic_context import Placement, ResourceMatrix, TICKS_PER_CELL
+from ams.harmonic_context import ResourceMatrix, TICKS_PER_CELL
 from ams.melody import (
     FragmentFeatures,
     Key,
@@ -109,9 +109,8 @@ def test_04_fitness_oracle():
                                2, key)
         shift = rng.randrange(0, 4)
         trans = rng.randrange(-12, 13)
-        placement = Placement(frag, trans, shift)
         try:
-            h = harmonic_fitness(m, placement)
+            h = harmonic_fitness(m, frag, trans, shift)
         except Exception:
             continue
         values = []

@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import io
 import json
 import struct
 
@@ -444,6 +445,81 @@ def test_train_chords_bad_corpus_spec(tmp_path, capsys):
                  str(tmp_path / "m.bin")]) == EXIT_RUNTIME
 
 
+def _theme_dir_config(tmp_path, theme_bytes):
+    themes = tmp_path / "themes"
+    themes.mkdir()
+    (themes / "a.theme").write_bytes(theme_bytes)
+    config = tmp_path / "themes.cfg"
+    config.write_text("engine.theme_dir = themes\n")
+    return config
+
+
+@pytest.mark.parametrize("case", ["trace", "validate-config", "config", "theme", "corpus"])
+def test_non_utf8_input_file_exits_cleanly(case, tmp_path, capsys):
+    """A 0xff byte in any input file is the reading module's error, naming
+    the file, not a UnicodeDecodeError traceback."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# \xff\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(TRACE)
+    argv, status, prefix = {
+        "trace": (["replay", str(bad)], EXIT_RUNTIME, f"error: {bad}: not UTF-8 text"),
+        "validate-config": (["validate-config", str(bad)], EXIT_USAGE,
+                            f"invalid: {bad}: not UTF-8 text"),
+        "config": (["replay", str(trace), "--config", str(bad)], EXIT_USAGE,
+                   f"config error: {bad}: not UTF-8 text"),
+        "theme": (["replay", str(trace), "--config",
+                   str(_theme_dir_config(tmp_path, b"theme_id: 0\xff\n"))], EXIT_RUNTIME,
+                  f"error: {tmp_path / 'themes' / 'a.theme'}: not UTF-8 text"),
+        "corpus": (["train-chords", f"jazz:{bad}", "--out", str(tmp_path / "m.bin")],
+                   EXIT_RUNTIME, f"error: {bad}: not UTF-8 text"),
+    }[case]
+    assert main(argv) == status
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def _model_blob(**changes) -> bytes:
+    payload = {"order": 1, "vocabulary": ["c/0/maj", "c/7/maj"],
+               "counts": [[[], {"c/0/maj": 2, "c/7/maj": 1}], [["c/0/maj"], {"c/7/maj": 1}]]}
+    payload.update(changes)
+    body = json.dumps(payload).encode("utf-8")
+    return ChordSequenceModel.MAGIC + struct.pack(">BI", 1, len(body)) + body
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"order": "3"}, "order must be an int >= 1, got '3'"),
+    ({"order": 2.5}, "order must be an int >= 1, got 2.5"),
+    ({"order": 0}, "order must be an int >= 1, got 0"),
+    ({"order": -2}, "order must be an int >= 1, got -2"),
+    ({"order": True}, "order must be an int >= 1, got True"),
+    ({"counts": [[[], {"c/0/maj": "2"}]]},
+     "count of 'c/0/maj' after [] must be an int >= 1, got '2'"),
+    ({"counts": [[["c/0/maj"], {"c/7/maj": -1}]]},
+     "count of 'c/7/maj' after ['c/0/maj'] must be an int >= 1, got -1"),
+    ({"counts": [[[], {"c/0/maj": 0}]]},
+     "count of 'c/0/maj' after [] must be an int >= 1, got 0"),
+], ids=["order-str", "order-float", "order-zero", "order-negative", "order-bool",
+        "count-str", "count-negative", "count-zero"])
+def test_replay_chord_model_with_bad_order_or_counts_exits_runtime(changes, message,
+                                                                   tmp_path, capsys):
+    model = tmp_path / "chords.model"
+    model.write_bytes(_model_blob(**changes))
+    config = tmp_path / "model.cfg"
+    config.write_text("engine.chord_model = chords.model\n")
+    trace = ASSET_ROOT / "traces" / "threat_ramp.jsonl"
+    assert main(["replay", str(trace), "--config", str(config)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
+
+def test_chord_model_of_valid_order_and_counts_replays(tmp_path, capsys):
+    model = tmp_path / "chords.model"
+    model.write_bytes(_model_blob())
+    config = tmp_path / "model.cfg"
+    config.write_text("engine.chord_model = chords.model\n")
+    trace = ASSET_ROOT / "traces" / "threat_ramp.jsonl"
+    assert main(["replay", str(trace), "--config", str(config)]) == EXIT_OK
+
+
 def test_repl_messages_obey_osc_schema(monkeypatch, capsys):
     lines = iter(["activate torch 500", "activate torch 60 weapon", "affect fear 50",
                   "theme torch 999", "edge torch", "activate torch 60 environment add",
@@ -454,6 +530,16 @@ def test_repl_messages_obey_osc_schema(monkeypatch, capsys):
     assert out.count("error:") == 5
     assert "vertex torch kind=environment act=60.000000" in out
     assert "vertex threat kind=affect act=40.000000" in out
+
+
+def test_repl_failed_save_keeps_the_session(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "later.mid"
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"save {tmp_path}\ntick 2\nsave {out}\n"))
+    assert main(["repl"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "error: [Errno 21] Is a directory" in printed
+    assert "t=60 ms" in printed
+    assert read_midi_bytes(out.read_bytes()).tracks
 
 
 def test_usage_error_for_unknown_command():

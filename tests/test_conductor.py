@@ -284,16 +284,24 @@ def test_composed_scores_round_trip_through_the_smf_reader(themes, data, seed, a
     assert _compose_midi(themes, config, schedule)[0] == blob
 
 
+def test_engine_time_is_the_graph_clock():
+    engine = make_engine()
+    for _ in range(3):
+        engine.tick()
+    assert engine.time_ms == engine.graph.clock == 3 * engine.config.tick_ms
+    with pytest.raises(AttributeError):
+        engine.time_ms = 0
+
+
 def test_replay_realizes_each_committed_placement_once(monkeypatch):
-    transposed = MelodicFragment.transposed
+    placed_fragment = conductor.placed_fragment
     calls = [0]
 
-    def counting_transposed(fragment, semitones):
+    def counting_placed_fragment(fragment, transposition, time_shift):
         calls[0] += 1
-        return transposed(fragment, semitones)
+        return placed_fragment(fragment, transposition, time_shift)
 
-    # only placed_fragment transposes a fragment
-    monkeypatch.setattr(MelodicFragment, "transposed", counting_transposed)
+    monkeypatch.setattr(conductor, "placed_fragment", counting_placed_fragment)
     engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
     events = parse_trace((ASSET_ROOT / "traces" / "mixed_session.jsonl").read_text())
     engine.run(events[-1][0] + int(2 * engine.block_ms),

@@ -11,12 +11,11 @@ from ams.harmonic_context import (
     CHORD_TONE_VALUE,
     ROOT_VALUE,
     HarmonyError,
-    Placement,
     ResourceMatrix,
     TICKS_PER_CELL,
 )
-from ams.melody import Key, MelodicFragment, Note
-from test_placement_equivalence import harmonic_fitness
+from ams.melody import Key, MelodicFragment, Note, placed_fragment
+from test_placement_equivalence import harmonic_fitness, note_cells, reference_cells
 
 KEY = Key(0, "major")
 
@@ -61,24 +60,27 @@ def test_extend_validates_measure_total():
         m.extend([(parse_chord("C"), 3)])
 
 
-def test_note_cells_cover_partial_cells():
+def test_fragment_cells_cover_partial_cells():
     m = ResourceMatrix()
-    assert list(m.note_cells(0, 480)) == [0, 1, 2, 3]
-    assert list(m.note_cells(60, 120)) == [0, 1]  # straddles a boundary
-    assert list(m.note_cells(120, 120)) == [1]
+    for note, cells in [((60, 0, 480), [0, 1, 2, 3]),
+                        ((61, 60, 120), [0, 1]),  # straddles a boundary
+                        ((62, 120, 120), [1])]:
+        rows, cols = m.fragment_cells(frag([note]))
+        assert rows.tolist() == [note[0] % 12] * len(cells)
+        assert cols.tolist() == [32 + cell for cell in cells]
 
 
 def test_fitness_mean_of_two_equal_notes():
     m = ResourceMatrix()
     m.extend([(parse_chord("C"), 2)])
     f = frag([(60, 0, 480), (62, 480, 480)])  # C row 1.0, D row 0.3
-    assert harmonic_fitness(m, Placement(f, 0, 0)) == pytest.approx(0.65)
+    assert harmonic_fitness(m, f, 0, 0) == pytest.approx(0.65)
 
 
 def test_fitness_by_transposition_octave_invariant():
     m = ResourceMatrix()
     m.extend([(parse_chord("C7"), 1), (parse_chord("E7"), 1)])
-    m.consume(Placement(frag([(64, 0, 960)]), 0, 12))
+    m.consume(placed_fragment(frag([(64, 0, 960)]), 0, 12))
     region_ticks = m.region_cells * TICKS_PER_CELL
     cases = [
         # an off-beat onset inside a cell: cells 1..7, 25 shifts
@@ -91,25 +93,27 @@ def test_fitness_by_transposition_octave_invariant():
         assert grid.shape == (shifts, 12)
         for shift, row in enumerate(grid):
             for t in range(-24, 25):
-                assert row[t % 12] == harmonic_fitness(m, Placement(f, t, shift))
+                assert row[t % 12] == harmonic_fitness(m, f, t, shift)
 
 
 def test_placement_outside_region_raises():
     m = ResourceMatrix()
     f = frag([(60, 0, 480)])
     with pytest.raises(HarmonyError):
-        m.placement_cells(Placement(f, 0, 31))  # runs past the final column
-    long = frag([(60, 0, 3840)])
-    m.placement_cells(Placement(long, 0, 0))  # exactly fills the region
+        m.fragment_cells(placed_fragment(f, 0, 31))  # runs past the final column
     with pytest.raises(HarmonyError):
-        m.placement_cells(Placement(long, 0, 1))
+        m.fragment_cells(frag([(60, -1, 480)]))  # starts before the region
+    long = frag([(60, 0, 3840)])
+    m.fragment_cells(long)  # exactly fills the region
+    with pytest.raises(HarmonyError):
+        m.fragment_cells(placed_fragment(long, 0, 1))
 
 
 def test_consume_zeroes_and_halves_neighbors():
     m = ResourceMatrix()
     m.extend([(parse_chord("C"), 2)])
     f = frag([(60, 0, 480)])  # pitch class 0, cells 0..3 of the region
-    m.consume(Placement(f, 0, 0))
+    m.consume(f)
     cols = slice(32, 36)
     assert np.all(m.cells[0, cols] == 0.0)
     assert np.all(m.cells[1, cols] == 0.15)   # 0.3 halved
@@ -122,10 +126,9 @@ def test_consume_then_refitness_drops():
     m = ResourceMatrix()
     m.extend([(parse_chord("C"), 2)])
     f = frag([(60, 0, 960)])
-    placement = Placement(f, 0, 0)
-    before = harmonic_fitness(m, placement)
-    m.consume(placement)
-    assert harmonic_fitness(m, placement) == 0.0
+    before = harmonic_fitness(m, f, 0, 0)
+    m.consume(f)
+    assert harmonic_fitness(m, f, 0, 0) == 0.0
     assert before > 0.0
 
 
@@ -133,7 +136,7 @@ def test_copy_is_independent():
     m = ResourceMatrix()
     m.extend([(parse_chord("C"), 2)])
     clone = m.copy()
-    clone.consume(Placement(frag([(60, 0, 480)]), 0, 0))
+    clone.consume(frag([(60, 0, 480)]))
     assert np.all(m.cells[0, 32:36] == 1.0)
 
 
@@ -148,10 +151,10 @@ def test_brute_force_oracle_small():
         total, count = 0.0, 0
         for n in f.notes:
             pc = (n.pitch + trans) % 12
-            for cell in m.note_cells(n.onset, n.duration):
+            for cell in note_cells(n.onset, n.duration):
                 total += m.cells[pc, 32 + shift + cell]
                 count += 1
-        assert harmonic_fitness(m, Placement(f, trans, shift)) == pytest.approx(
+        assert harmonic_fitness(m, f, trans, shift) == pytest.approx(
             total / count, abs=1e-12)
 
 
@@ -171,9 +174,9 @@ def reference_extend(matrix, chords):
             col += 1
 
 
-def reference_consume(matrix, placement):
+def reference_consume(matrix, fragment, transposition, shift):
     """The per-cell loop that `consume` replaced."""
-    rows, cols = matrix.placement_cells(placement)
+    rows, cols = reference_cells(matrix, fragment, transposition, shift)
     for pc, col in zip(rows.tolist(), cols.tolist()):
         matrix.cells[(pc + 1) % 12, col] *= 0.5
         matrix.cells[(pc - 1) % 12, col] *= 0.5
@@ -188,12 +191,11 @@ blocks = st.one_of(
     st.lists(st.sampled_from(CHORDS), min_size=2, max_size=2).map(
         lambda pair: [(chord, 1) for chord in pair]))
 
-placements = st.builds(
-    lambda notes, transposition, shift: Placement(
-        MelodicFragment(tuple(sorted(notes, key=lambda n: n.onset)), 2, KEY),
-        transposition, shift),
+# a placement: (fragment, transposition, shift)
+placements = st.tuples(
     st.lists(st.builds(Note, st.integers(40, 80), st.integers(0, 1800),
-                       st.integers(1, 960)), min_size=1, max_size=5),
+                       st.integers(1, 960)), min_size=1, max_size=5).map(
+        lambda notes: MelodicFragment(tuple(sorted(notes, key=lambda n: n.onset)), 2, KEY)),
     st.integers(-12, 12), st.integers(0, ResourceMatrix.region_cells - 1))
 
 
@@ -207,14 +209,14 @@ def test_extend_and_consume_match_the_per_cell_loops(seed, steps):
     cells[cells < 0.1] *= 1e-310
     ours.cells, theirs.cells = cells.copy(), cells.copy()
     for step in steps:
-        if isinstance(step, Placement):
+        if isinstance(step, tuple):
             try:
-                reference_consume(theirs, step)
+                reference_consume(theirs, *step)
             except HarmonyError:  # ran past the region
                 with pytest.raises(HarmonyError):
-                    ours.consume(step)
+                    ours.consume(placed_fragment(*step))
                 continue
-            ours.consume(step)
+            ours.consume(placed_fragment(*step))
         else:
             reference_extend(theirs, step)
             ours.extend(step)

@@ -14,6 +14,7 @@ from ams.melody import (
     Key,
     MelodicFragment,
     MelodyAgent,
+    MelodyError,
     Note,
     OperatorError,
     Proposal,
@@ -24,6 +25,7 @@ from ams.melody import (
     encode_environment,
     evolve_theme,
     max_range,
+    placed_fragment,
     reward,
     style_score,
 )
@@ -189,9 +191,9 @@ def test_search_finds_chord_tones():
     f = frag([(60, 0, 960), (64, 960, 960)], measures=1)
     found = a.search_placement(f, m, "folk", 1, RangeConstraint(40, 90))
     assert found is not None
-    placement, h, p = found
+    transposition, _shift, h, p = found
     assert h >= 0.9  # both notes land on chord tones
-    realized = [(n.pitch + placement.transposition) % 12 for n in f.notes]
+    realized = [(n.pitch + transposition) % 12 for n in f.notes]
     assert set(realized) <= {0, 4, 7}
 
 
@@ -201,8 +203,8 @@ def test_search_respects_range_constraint():
     a = agent()
     f = frag([(60, 0, 960)], measures=1)
     found = a.search_placement(f, m, "folk", 1, RangeConstraint(70, 80))
-    placement, _, _ = found
-    assert 70 <= 60 + placement.transposition <= 80
+    transposition, _, _, _ = found
+    assert 70 <= 60 + transposition <= 80
 
 
 def test_search_returns_none_below_h_min():
@@ -251,9 +253,29 @@ def test_admissible_transpositions_are_what_the_search_may_place():
         assert admissible_transpositions(fragment, constraint) == expected
         found = a.search_placement(fragment, m, "folk", 1, constraint)
         if expected:
-            assert found[0].transposition in expected
+            assert found[0] in expected
         else:
             assert found is None
+
+
+def test_range_constraint_bounds_stay_in_the_midi_range():
+    assert RangeConstraint() == RangeConstraint(0, 127)
+    assert RangeConstraint().allows(0, 127)
+    assert not RangeConstraint(60, 50).allows(55, 55)  # crossed bounds allow nothing
+    for lo, hi in [(-1, 127), (0, 128), (200, 60)]:
+        with pytest.raises(MelodyError):
+            RangeConstraint(lo, hi)
+
+
+def test_placed_fragment_moves_notes_and_key_in_one_pass():
+    f = MelodicFragment((Note(60, 0, 480, 90), Note(67, 480, 240)), 1, Key(9, "minor"))
+    placed = placed_fragment(f, 5, 3)
+    assert placed.notes == (Note(65, 3 * TICKS_PER_CELL, 480, 90),
+                            Note(72, 480 + 3 * TICKS_PER_CELL, 240))
+    assert placed.key == Key(2, "minor")
+    assert placed.length_measures == 1
+    with pytest.raises(MelodyError):  # no clamp: a placement outside 0..127 is an error
+        placed_fragment(f, 61, 0)
 
 
 def test_search_is_deterministic():
@@ -263,7 +285,7 @@ def test_search_is_deterministic():
     f = frag([(60, 0, 480), (62, 480, 480)], measures=1)
     first = a.search_placement(f, m, "jazz", 2, RangeConstraint(40, 90))
     second = a.search_placement(f, m, "jazz", 2, RangeConstraint(40, 90))
-    assert first[0] == second[0]
+    assert first[:2] == second[:2]
 
 
 # -- evolution ---------------------------------------------------------------

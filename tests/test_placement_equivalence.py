@@ -3,11 +3,12 @@
 `reference_search` is the search the grid replaced: for every time shift it
 collects the placement's cells in a Python loop over the notes, scores the
 12 pitch-class offsets from them, and builds the shifted fragment and its
-full features to read the off-beat flag.  `harmonic_fitness` is the
-one-placement fitness it was checked against.  The search and the reference
-must return the same (placement, H, P), compared by repr, and make the same
-range-constraint calls, for any matrix, fragment, style, agent count, range
-constraint and fitness floor.
+full features to read the off-beat flag.  A placement here is a (fragment,
+transposition, time shift) triple, and `harmonic_fitness` is the
+one-placement fitness the search was checked against.  The search and the
+reference must return the same (transposition, shift, H, P), compared by
+repr, and make the same range-constraint calls, for any matrix, fragment,
+style, agent count, range constraint and fitness floor.
 """
 
 from dataclasses import replace
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ams.chord_model import parse_chord
-from ams.harmonic_context import HarmonyError, Placement, ResourceMatrix
+from ams.harmonic_context import HarmonyError, ResourceMatrix
 from ams.melody import (
     TRANSPOSITION_LIMIT,
     Key,
@@ -27,20 +28,29 @@ from ams.melody import (
     Note,
     RangeConstraint,
     compute_features,
+    placed_fragment,
     style_score,
 )
 from ams.render import TICKS_PER_CELL
 from ams.xcs import XcsPopulation
 
 
-def reference_cells(matrix, placement):
-    """(pitch-class rows, absolute columns) for every inhabited cell."""
+def note_cells(onset_ticks, duration_ticks):
+    """Cell indices (fragment-relative) a note occupies."""
+    start = onset_ticks // TICKS_PER_CELL
+    end = -(-(onset_ticks + duration_ticks) // TICKS_PER_CELL)
+    return range(start, end)
+
+
+def reference_cells(matrix, fragment, transposition, shift):
+    """(pitch-class rows, absolute columns) for every cell the fragment
+    inhabits, transposed and shifted."""
     rows: list[int] = []
     cols: list[int] = []
-    for note in placement.fragment.notes:
-        pc = (note.pitch + placement.transposition) % 12
-        for cell in matrix.note_cells(note.onset, note.duration):
-            col = matrix.region_start + placement.time_shift + cell
+    for note in fragment.notes:
+        pc = (note.pitch + transposition) % 12
+        for cell in note_cells(note.onset, note.duration):
+            col = matrix.region_start + shift + cell
             if col < matrix.region_start or col >= matrix.columns:
                 raise HarmonyError(f"placement cell {col} outside active region")
             rows.append(pc)
@@ -50,16 +60,16 @@ def reference_cells(matrix, placement):
     return np.array(rows), np.array(cols)
 
 
-def harmonic_fitness(matrix, placement) -> float:
+def harmonic_fitness(matrix, fragment, transposition, shift) -> float:
     """Mean resource value over all inhabited cells."""
-    rows, cols = reference_cells(matrix, placement)
+    rows, cols = reference_cells(matrix, fragment, transposition, shift)
     return float(matrix.cells[rows, cols].mean())
 
 
-def reference_fitness_by_pc(matrix, placement):
-    """Harmonic fitness for the placement at each of the 12 pitch-class
-    offsets added to its transposition."""
-    rows, cols = reference_cells(matrix, placement)
+def reference_fitness_by_pc(matrix, fragment, shift):
+    """Harmonic fitness for the fragment at a shift, at each of the 12
+    pitch-class offsets."""
+    rows, cols = reference_cells(matrix, fragment, 0, shift)
     offsets = np.arange(12)[:, None]
     return matrix.cells[(rows[None, :] + offsets) % 12, cols[None, :]].mean(axis=1)
 
@@ -76,8 +86,7 @@ def reference_search(agent, fragment, matrix, style, n_agents, constraint):
 
     best = None
     for shift in range(max_shift + 1):
-        base = Placement(fragment, 0, shift)
-        fitness_by_pc = reference_fitness_by_pc(matrix, base)
+        fitness_by_pc = reference_fitness_by_pc(matrix, fragment, shift)
         ticks = shift * TICKS_PER_CELL
         shifted = replace(fragment, notes=tuple(
             replace(n, onset=n.onset + ticks) for n in fragment.notes))
@@ -88,11 +97,10 @@ def reference_search(agent, fragment, matrix, style, n_agents, constraint):
             h_score = float(fitness_by_pc[transposition % 12])
             m_score = h_score + p_score
             if best is None or m_score > best[0]:
-                best = (m_score, Placement(fragment, transposition, shift),
-                        h_score, p_score)
-    if best is None or best[2] < agent.h_min:
+                best = (m_score, transposition, shift, h_score, p_score)
+    if best is None or best[3] < agent.h_min:
         return None
-    return best[1], best[2], best[3]
+    return best[1:]
 
 
 class CountingConstraint(RangeConstraint):
@@ -138,17 +146,17 @@ def matrices(draw):
         else:
             note = Note(draw(st.integers(40, 80)), draw(st.integers(0, 600)),
                         draw(st.integers(1, 480)))
-            placement = Placement(MelodicFragment((note,), 1, Key(0, "major")),
-                                  draw(st.integers(-12, 12)),
-                                  draw(st.integers(0, matrix.region_cells - 1)))
+            placed = placed_fragment(MelodicFragment((note,), 1, Key(0, "major")),
+                                     draw(st.integers(-12, 12)),
+                                     draw(st.integers(0, matrix.region_cells - 1)))
             try:
-                matrix.consume(placement)
+                matrix.consume(placed)
             except HarmonyError:  # ran past the region
                 pass
     return matrix
 
 
-pitch_bounds = st.one_of(st.none(), st.integers(20, 110))
+pitch_bounds = st.one_of(st.sampled_from([0, 127]), st.integers(20, 110))
 
 
 @settings(max_examples=400, deadline=None)
