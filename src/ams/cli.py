@@ -28,7 +28,7 @@ from .context_graph import GraphError
 from .melody import MelodyError
 from .osc_gateway import MESSAGE_TYPES, GameMessage, MessageType, OscServer
 from .render import RealClock, score_events, stream_events, write_midi
-from .themes import ThemeError, ThemeLibrary
+from .themes import ThemeError, load_themes
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -109,7 +109,7 @@ def load_chord_model(config: EngineConfig) -> ChordSequenceModel:
 
 
 def build_engine(config: EngineConfig) -> Engine:
-    themes = ThemeLibrary.load_dir(config.theme_path)
+    themes = load_themes(config.theme_path)
     if config.default_theme not in themes:
         raise ThemeError(f"default_theme {config.default_theme} is not in {config.theme_path}")
     model = load_chord_model(config)
@@ -268,7 +268,7 @@ def cmd_repl(args) -> int:
                 print(f"wrote {words[1]}")
             else:
                 print(f"unrecognized: {line!r} (try 'help')")
-        except (ValueError, GraphError, ThemeError, ConductorError, OSError) as exc:
+        except (ValueError, GraphError, ConductorError, OSError) as exc:
             print(f"error: {exc}")
     return EXIT_OK
 

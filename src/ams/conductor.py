@@ -14,6 +14,7 @@ from .context_graph import AffectSnapshot, ConceptGraph, GraphError, VertexKind
 from .harmonic_context import ResourceMatrix
 from .melody import (
     Abstention,
+    MelodicFragment,
     MelodyAgent,
     Note,
     OPERATOR_NAMES,
@@ -29,7 +30,7 @@ from .melody import (
 from .osc_gateway import AssignTheme, MessageQueue
 from .percussion import GM_NOTES, generate_percussion
 from .render import BLOCK_TICKS, PERCUSSION_CHANNEL, Score, ScoreNote, Track
-from .themes import ThemeLibrary
+from .themes import add_theme
 from .xcs import XcsPopulation
 
 log = logging.getLogger(__name__)
@@ -48,7 +49,7 @@ class Engine:
     appends to the message queue.
     """
 
-    def __init__(self, config: EngineConfig, themes: ThemeLibrary,
+    def __init__(self, config: EngineConfig, themes: dict[int, MelodicFragment],
                  chord_model: ChordSequenceModel):
         self.config = config
         self.themes = themes
@@ -125,19 +126,21 @@ class Engine:
         self._vertices_seen = len(graph.vertices)
         waiting = []
         for vid in self._unthemed:
-            if graph.vertices[vid].theme is not None:
-                continue
+            # degree first: it is cheaper than the snapshot, and an object
+            # themed while it waits is dropped once it has an edge
             if graph.degree(vid) == 0:
                 waiting.append(vid)
                 continue
+            if graph.vertices[vid].theme is not None:
+                continue
             parent_ids = graph.nearest_themed(vid, 2)
-            parents = [self.themes.get(t) for t in parent_ids if t in self.themes]
+            parents = [self.themes[t] for t in parent_ids if t in self.themes]
             if not parents:
                 continue
             if len(parents) == 1:
                 parents.append(parents[0])
             child = evolve_theme(parents[0], parents[1], self.evolution_rng)
-            new_id = self.themes.add(child)
+            new_id = add_theme(self.themes, child)
             if new_id is not None:
                 graph.apply_message(AssignTheme(vid, new_id))
         self._unthemed = waiting
@@ -163,7 +166,7 @@ class Engine:
         settle; last, percussion doubles agent 2's onsets.
         """
         config = self.config
-        theme = self.themes.get(theme_id)
+        theme = self.themes[theme_id]
         n_agents = len(self.agents)
         span_limit = max_range(n_agents, config.style, config.range_factors)
         block_start = self.cycle_index * BLOCK_TICKS
@@ -174,12 +177,12 @@ class Engine:
         n_ranks = min(config.top_chord_ranks, len(self.chord_model.chord_vocabulary))
         if n_ranks == 0:
             raise ConductorError("chord model produced no candidates")
-        candidates: list[tuple[int, list[tuple[ChordSymbol, int]], float]] = []
+        candidates: list[tuple[int, list[ChordSymbol], float]] = []
         for rank in range(1, n_ranks + 1):
             first, conf_first = self.chord_model.next_chord(history, config.style, rank)
             second, conf_second = self.chord_model.next_chord(
                 history + [first], config.style, 1)
-            candidates.append((rank, [(first, 1), (second, 1)],
+            candidates.append((rank, [first, second],
                                (conf_first + conf_second) / 2.0))
         chosen_rank, chords, harmony_confidence = candidates[0]
 
@@ -210,7 +213,7 @@ class Engine:
             self.matrix.extend(chords)
         if not isinstance(lead, Abstention):
             lead = lead.placed(found)
-        self.chord_history.extend(chord for chord, _ in chords)
+        self.chord_history.extend(chords)
 
         record1, voice1_notes = self._settle(lead_agent, lead, snapshot, block_start)
         agent_records = [record1]
@@ -255,7 +258,7 @@ class Engine:
             "theme_id": theme_id,
             "leader": leader,
             "chord_rank": chosen_rank,
-            "chords": [str(chord) for chord, _ in chords],
+            "chords": [str(chord) for chord in chords],
             "confidence_harmony": round(harmony_confidence, 6),
             "confidence_melody": round(melody_confidence, 6),
             "span_limit": span_limit,

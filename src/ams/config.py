@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .chord_model import STYLES
-from .context_graph import GraphParams
+from .context_graph import GraphError, GraphParams
 from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
 from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, BLOCK_TICKS, MIN_TEMPO_BPM, TICKS_PER_QUARTER
@@ -80,10 +80,13 @@ class EngineConfig:
             raise ConfigError(f"default_theme outside 0..{THEME_IDS - 1}")
         if not 0 <= self.osc_port <= 65535:
             raise ConfigError("osc_port outside 0..65535")
-        try:
-            self.xcs.__post_init__()
-        except XcsError as exc:
-            raise ConfigError(f"xcs: {exc}") from None
+        if not 0.0 <= self.explore_prob <= 1.0:
+            raise ConfigError("explore_prob outside [0, 1]")
+        for section in ("graph", "xcs"):
+            try:
+                getattr(self, section).__post_init__()
+            except (GraphError, XcsError) as exc:
+                raise ConfigError(f"{section}: {exc}") from None
 
     @property
     def block_ms(self) -> float:  # beats per block times ms per beat

@@ -23,6 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class GraphParams:
     inferred_edge_weight: float = 0.5
     co_activation_boost: float = 0.1
 
+    def __post_init__(self):
+        for name in ("vertex_fade_per_s", "edge_fade_per_s"):
+            if not getattr(self, name) >= 0.0:
+                raise GraphError(f"{name} must be >= 0")
+        for name in ("inferred_edge_weight", "co_activation_boost"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise GraphError(f"{name} outside [0, 1]")
+
 
 AffectSnapshot = namedtuple("AffectSnapshot", AFFECT_CATEGORIES, defaults=(0.0,) * N_AFFECT)
 AffectSnapshot.__doc__ = "Affect activations, one field per AFFECT_CATEGORIES entry."
@@ -76,96 +85,43 @@ def _grown(array: np.ndarray) -> np.ndarray:
     return bigger
 
 
-class ConceptVertex:
-    """Read-only view of one vertex of a ConceptGraph."""
-
-    __slots__ = ("_graph", "_index")
-
-    def __init__(self, graph: "ConceptGraph", index: int):
-        self._graph = graph
-        self._index = index
-
-    @property
-    def id(self) -> str:
-        return self._graph._ids[self._index]
-
-    @property
-    def kind(self) -> VertexKind:
-        return self._graph._kinds[self._index]
-
-    @property
-    def activation(self) -> float:
-        return self._graph._activation.item(self._index)
-
-    @property
-    def theme(self) -> int | None:
-        """Only object vertices carry themes."""
-        return self._graph._themes[self._index]
-
-    @property
-    def last_activated(self) -> int:
-        """Engine time of the last activation message, ms."""
-        return self._graph._last_activated[self._index]
+class Vertex(NamedTuple):
+    """One vertex of a ConceptGraph, as of its lookup."""
+    id: str
+    kind: VertexKind
+    activation: float
+    theme: int | None  # only object vertices carry themes
+    last_activated: int  # engine time of the last activation message, ms
 
 
-class ConceptEdge:
-    """Read-only view of one edge of a ConceptGraph, keyed by its sorted
+class Edge(NamedTuple):
+    """One edge of a ConceptGraph, as of its lookup, keyed by its sorted
     endpoint ids `a` <= `b`."""
-
-    __slots__ = ("_graph", "a", "b")
-
-    def __init__(self, graph: "ConceptGraph", key: tuple[str, str]):
-        self._graph = graph
-        self.a, self.b = key
-
-    @property
-    def weight(self) -> float:
-        return self._graph._weights.item(2 * self._graph._slots[(self.a, self.b)])
-
-    @property
-    def explicit(self) -> bool:
-        """Explicit edges never fade."""
-        return not self._graph._inferred.item(2 * self._graph._slots[(self.a, self.b)])
+    a: str
+    b: str
+    weight: float
+    explicit: bool  # explicit edges never fade
 
 
-class _Vertices(Mapping):
-    """Vertex id -> ConceptVertex, in index order."""
+class _Snapshots(Mapping):
+    """Read-only mapping over one of a graph's key maps (key -> index or
+    slot); `snapshot(key, value)` builds each value at lookup."""
 
-    def __init__(self, graph: "ConceptGraph"):
-        self._graph = graph
+    def __init__(self, keys: dict, snapshot):
+        self._keys = keys
+        self._snapshot = snapshot
 
-    def __getitem__(self, vid: str) -> ConceptVertex:
-        return ConceptVertex(self._graph, self._graph._index[vid])
-
-    def __contains__(self, vid: object) -> bool:
-        return vid in self._graph._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._graph._ids)
-
-    def __len__(self) -> int:
-        return len(self._graph._ids)
-
-
-class _Edges(Mapping):
-    """Sorted endpoint pair -> ConceptEdge, in creation order."""
-
-    def __init__(self, graph: "ConceptGraph"):
-        self._graph = graph
-
-    def __getitem__(self, key: tuple[str, str]) -> ConceptEdge:
-        if key not in self._graph._slots:
-            raise KeyError(key)
-        return ConceptEdge(self._graph, key)
+    def __getitem__(self, key):
+        return self._snapshot(key, self._keys[key])
 
     def __contains__(self, key: object) -> bool:
-        return key in self._graph._slots
+        return key in self._keys
 
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self._graph._slots)
+    def __iter__(self) -> Iterator:
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._graph._slots)
+        return len(self._keys)
 
 
 class ConceptGraph:
@@ -178,9 +134,10 @@ class ConceptGraph:
     2s + 1), the source and target vertex indices, the weight and the
     inferred flag, each written to both directions at once; the number of
     inferred edges as an int; edge keys only in the key -> slot map, in
-    creation order.  `vertices` and `edges` are read-only mappings onto
-    views of these arrays; the graph changes only through `apply_message`
-    and `tick`.
+    creation order.  `vertices` (id -> Vertex, in index order) and `edges`
+    (sorted endpoint pair -> Edge, in creation order) are read-only
+    mappings whose values are snapshots as of their lookup; the graph
+    changes only through `apply_message` and `tick`.
     """
 
     def __init__(self, params: GraphParams | None = None):
@@ -208,8 +165,8 @@ class ConceptGraph:
         self._hot_key: tuple[bytes, int] | None = None
         self._hot_directed = np.zeros(0, dtype=np.intp)
 
-        self.vertices: Mapping[str, ConceptVertex] = _Vertices(self)
-        self.edges: Mapping[tuple[str, str], ConceptEdge] = _Edges(self)
+        self.vertices: Mapping[str, Vertex] = _Snapshots(self._index, self._vertex)
+        self.edges: Mapping[tuple[str, str], Edge] = _Snapshots(self._slots, self._edge)
         for category in AFFECT_CATEGORIES:
             self._add_vertex(category, VertexKind.AFFECT)
 
@@ -288,6 +245,13 @@ class ConceptGraph:
             self._adjacency[ma][mb] = slot
             self._adjacency[mb][ma] = slot
         self._version += 1
+
+    def _vertex(self, vid: str, index: int) -> Vertex:
+        return Vertex(vid, self._kinds[index], self._activation.item(index),
+                      self._themes[index], self._last_activated[index])
+
+    def _edge(self, key: tuple[str, str], slot: int) -> Edge:
+        return Edge(*key, self._weights.item(2 * slot), not self._inferred.item(2 * slot))
 
     def degree(self, concept: str) -> int:
         index = self._index.get(concept)

@@ -51,33 +51,28 @@ class ResourceMatrix:
 
     # -- extension ----------------------------------------------------------
 
-    def extend(self, chords: list[tuple[ChordSymbol, int]]) -> None:
+    def extend(self, chords: list[ChordSymbol]) -> None:
         """Slide the window by one block and fill the new columns from the
-        given chords (durations in measures, summing to BLOCK_MEASURES)."""
-        if not chords:
-            raise HarmonyError("extend requires at least one chord")
-        total = 0
-        for chord, measures in chords:
+        given chords, one per measure (BLOCK_MEASURES of them)."""
+        if len(chords) != BLOCK_MEASURES:
+            raise HarmonyError(f"extend takes {BLOCK_MEASURES} chords, one per measure, "
+                               f"got {len(chords)}")
+        for chord in chords:
             if not isinstance(chord, ChordSymbol):
                 raise HarmonyError(f"not a chord symbol: {chord!r}")
-            if measures <= 0:
-                raise HarmonyError("chord duration must be positive")
-            total += measures
-        if total != BLOCK_MEASURES:
-            raise HarmonyError(f"chords must cover exactly {BLOCK_MEASURES} measures, got {total}")
 
         slide = self.region_cells
         self.cells[:, :-slide] = self.cells[:, slide:]
 
-        # clipping is idempotent, so every column of a chord equals its first
+        # clipping is idempotent, so every column of a measure equals its first
+        width = self.cells_per_measure
         col = self.region_start
         column = self.cells[:, col - 1]
-        for chord, measures in chords:
+        for chord in chords:
             column = np.clip(column, 0.0, CARRYOVER_CLAMP)
             for tone in chord.tones:
                 column[tone] = CHORD_TONE_VALUE
             column[chord.root] = ROOT_VALUE
-            width = measures * self.cells_per_measure
             self.cells[:, col:col + width] = column[:, None]
             col += width
 

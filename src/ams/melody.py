@@ -29,6 +29,7 @@ STYLE_RANGE_FACTORS = {"jazz": 1.0, "pop": 0.8, "rock": 0.8, "folk": 0.7}
 DEFAULT_REWARD_GATE = 0.6
 DEFAULT_H_MIN = 0.5
 TRANSPOSITION_LIMIT = 24
+MAX_FRAGMENT_MEASURES = 4
 
 
 class MelodyError(ValueError):
@@ -68,12 +69,13 @@ class Key:
 @dataclass(frozen=True)
 class MelodicFragment:
     notes: tuple[Note, ...]
-    length_measures: int  # 1..4
+    length_measures: int  # 1..MAX_FRAGMENT_MEASURES
     key: Key
 
     def __post_init__(self):
-        if not 1 <= self.length_measures <= 4:
-            raise MelodyError(f"length {self.length_measures} outside 1..4 measures")
+        if not 1 <= self.length_measures <= MAX_FRAGMENT_MEASURES:
+            raise MelodyError(f"length {self.length_measures} outside "
+                              f"1..{MAX_FRAGMENT_MEASURES} measures")
         onsets = [n.onset for n in self.notes]
         if onsets != sorted(onsets):
             raise MelodyError("notes must be sorted by onset")
@@ -113,8 +115,8 @@ def _scale_time(fragment: MelodicFragment, factor: float) -> MelodicFragment:
         notes.append(replace(n, onset=onset, duration=duration))
     length = _length_from_span(max(n.onset + n.duration for n in notes),
                                fragment.length_measures)
-    if length > 4:
-        raise OperatorError("augmented fragment exceeds four measures")
+    if length > MAX_FRAGMENT_MEASURES:
+        raise OperatorError(f"augmented fragment exceeds {MAX_FRAGMENT_MEASURES} measures")
     return replace(fragment, notes=tuple(notes), length_measures=length)
 
 
@@ -441,7 +443,7 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
 
     first = pool[rng.randrange(len(pool))]
     second = pool[rng.randrange(len(pool))]
-    boundary = rng.randrange(0, min(first.length_measures, 4)) * MEASURE_TICKS
+    boundary = rng.randrange(0, first.length_measures) * MEASURE_TICKS
     head = [n for n in first.notes if n.onset < boundary]
     tail = [n for n in second.notes if n.onset >= boundary]
     notes = head + tail
@@ -460,10 +462,12 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
                 n = replace(n, duration=max(1, int(round(n.duration * factor))))
         mutated.append(n)
 
-    # trim to the four-measure cap
-    mutated = [n for n in mutated if n.onset < 4 * MEASURE_TICKS]
+    # trim to the cap: drop notes that start past it, cut those that sound past it
+    cap = MAX_FRAGMENT_MEASURES * MEASURE_TICKS
+    mutated = [n if n.onset + n.duration <= cap else replace(n, duration=cap - n.onset)
+               for n in mutated if n.onset < cap]
     if not mutated:
         mutated = list(first.notes)
     mutated.sort(key=lambda n: (n.onset, n.pitch))
-    length = min(4, _length_from_span(max(n.onset + n.duration for n in mutated), 1))
+    length = _length_from_span(max(n.onset + n.duration for n in mutated), 1)
     return MelodicFragment(tuple(mutated), length, first.key)

@@ -1,4 +1,5 @@
-"""Theme library: directory of text theme files, one fragment per file.
+"""Themes: a directory of text theme files, one fragment per file, loaded
+as a theme id -> fragment dict.
 
 File format:
 
@@ -25,8 +26,9 @@ class ThemeError(ValueError):
 
 
 def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragment]:
-    """Parse one theme file; any malformed field, or a note outside the
-    theme's measures, is a ThemeError naming `source` and the line."""
+    """Parse one theme file; any malformed field, a theme without notes, or
+    a note outside the theme's measures, is a ThemeError naming `source`
+    and the line."""
     fields: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     notes: list[tuple[int, Note]] = []  # (line number, note)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -72,6 +74,8 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
         fragment = MelodicFragment(tuple(ordered), length, Key(_ROOTS[tonic_name], mode))
     except MelodyError as exc:  # notes are sorted, so only the length can fail
         raise ThemeError(f"{source}:{lineno}: {exc}") from None
+    if not notes:
+        raise ThemeError(f"{source}: theme has no notes")
     end = length * MEASURE_TICKS
     for lineno, note in notes:
         if note.onset < 0 or note.onset + note.duration > end:
@@ -80,40 +84,24 @@ def parse_theme(text: str, source: str = "<string>") -> tuple[int, MelodicFragme
     return theme_id, fragment
 
 
-class ThemeLibrary:
-    """In-memory theme id -> fragment map, loadable from a directory."""
+def load_themes(directory) -> dict[int, MelodicFragment]:
+    """Theme id -> fragment for every `*.theme` file in `directory`."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ThemeError(f"theme directory {directory} not found")
+    themes: dict[int, MelodicFragment] = {}
+    for path in sorted(directory.glob("*.theme")):
+        theme_id, fragment = parse_theme(read_text(path, ThemeError), str(path))
+        if theme_id in themes:
+            raise ThemeError(f"{path}: duplicate theme id {theme_id}")
+        themes[theme_id] = fragment
+    return themes
 
-    def __init__(self, themes: dict[int, MelodicFragment] | None = None):
-        self.themes: dict[int, MelodicFragment] = dict(themes or {})
 
-    @classmethod
-    def load_dir(cls, directory) -> "ThemeLibrary":
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise ThemeError(f"theme directory {directory} not found")
-        library = cls()
-        for path in sorted(directory.glob("*.theme")):
-            theme_id, fragment = parse_theme(read_text(path, ThemeError), str(path))
-            if theme_id in library.themes:
-                raise ThemeError(f"{path}: duplicate theme id {theme_id}")
-            library.themes[theme_id] = fragment
-        return library
-
-    def get(self, theme_id: int) -> MelodicFragment:
-        if theme_id not in self.themes:
-            raise ThemeError(f"unknown theme id {theme_id}")
-        return self.themes[theme_id]
-
-    def add(self, fragment: MelodicFragment) -> int | None:
-        """Store an evolved theme under the next free id, or None if none is free."""
-        for theme_id in range(THEME_IDS):
-            if theme_id not in self.themes:
-                self.themes[theme_id] = fragment
-                return theme_id
-        return None
-
-    def __contains__(self, theme_id: int) -> bool:
-        return theme_id in self.themes
-
-    def __len__(self) -> int:
-        return len(self.themes)
+def add_theme(themes: dict[int, MelodicFragment], fragment: MelodicFragment) -> int | None:
+    """Store an evolved theme under the lowest free id; None if none is free."""
+    for theme_id in range(THEME_IDS):
+        if theme_id not in themes:
+            themes[theme_id] = fragment
+            return theme_id
+    return None

@@ -55,6 +55,16 @@ class XcsParams:
             raise XcsError("error_threshold must be positive")
         if self.accuracy_power < 0:
             raise XcsError("accuracy_power must be >= 0")
+        for name in ("crossover_prob", "mutation_prob", "wildcard_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise XcsError(f"{name} outside [0, 1]")
+        for name in ("learning_rate", "accuracy_scale"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise XcsError(f"{name} outside (0, 1]")
+        for name in ("ga_threshold", "deletion_threshold", "subsumption_experience",
+                     "init_prediction", "init_error", "init_fitness"):
+            if not getattr(self, name) >= 0:
+                raise XcsError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -75,7 +75,7 @@ def test_02_fading_rates():
 
 def test_03_matrix_constants():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     region = m.cells[:, m.region_start:]
     assert np.all(region[0] == 1.0)
     assert np.all(region[4] == 0.8) and np.all(region[7] == 0.8)
@@ -83,7 +83,7 @@ def test_03_matrix_constants():
         assert np.all(region[row] == 0.3)
 
     m2 = ResourceMatrix()
-    m2.extend([(parse_chord("C7"), 1), (parse_chord("E7"), 1)])
+    m2.extend([parse_chord("C7"), parse_chord("E7")])
     e7_cols = m2.cells[:, m2.region_start + m2.cells_per_measure:]
     assert np.all(e7_cols[0] == 0.5)  # C carried over, clamped
     print("PASS 3: matrix constants (1.0/0.8/0.3 fill, 0.5 carryover clamp)")

@@ -24,7 +24,7 @@ from ams.melody import (
 )
 from ams.osc_gateway import ActivateConcept, AssignTheme, SetAffect, SetEdge
 from ams.render import BLOCK_TICKS, MEASURE_TICKS, read_midi_bytes, score_to_midi_bytes
-from ams.themes import ThemeLibrary
+from ams.themes import add_theme
 from ams.xcs import XcsPopulation
 
 
@@ -183,7 +183,7 @@ def test_theme_evolution_on_first_edge():
     assert len(engine.themes) == n_before + 1
     new_id = engine.graph.vertices["sidekick"].theme
     assert new_id is not None and new_id in engine.themes
-    child = engine.themes.get(new_id)
+    child = engine.themes[new_id]
     assert 1 <= child.length_measures <= 4 and child.notes
 
 
@@ -260,7 +260,7 @@ def _compose_midi(themes, config, schedule):
     """SMF bytes and score of four blocks over `themes` (ids 0..), with the
     object of theme `schedule[i]` activated at the start of block i; object
     `evolved` takes a theme bred from theme 0's on the first tick."""
-    engine = conductor.Engine(config, ThemeLibrary(dict(enumerate(themes))), _CORPUS_MODEL)
+    engine = conductor.Engine(config, dict(enumerate(themes)), _CORPUS_MODEL)
     events = [(0, AssignTheme(f"o{i}", i)) for i in range(len(themes))]
     events.append((0, SetEdge("o0", "evolved", 0.9)))
     for block, choice in enumerate(schedule):
@@ -406,13 +406,13 @@ def _evolve_scanning_every_vertex(engine):
             continue
         engine.checked.add(vid)
         parent_ids = engine.graph.nearest_themed(vid, 2)
-        parents = [engine.themes.get(t) for t in parent_ids if t in engine.themes]
+        parents = [engine.themes[t] for t in parent_ids if t in engine.themes]
         if not parents:
             continue
         if len(parents) == 1:
             parents.append(parents[0])
         child = evolve_theme(parents[0], parents[1], engine.evolution_rng)
-        new_id = engine.themes.add(child)
+        new_id = add_theme(engine.themes, child)
         if new_id is not None:
             engine.graph.apply_message(AssignTheme(vid, new_id))
 
@@ -430,7 +430,7 @@ def _run_with_both_evolutions(steps):
             e.tick()
     themes = {vid: v.theme for vid, v in engine.graph.vertices.items()}
     assert themes == {vid: v.theme for vid, v in reference.graph.vertices.items()}
-    assert engine.themes.themes == reference.themes.themes
+    assert engine.themes == reference.themes
     assert engine.evolution_rng.getstate() == reference.evolution_rng.getstate()
     return engine
 

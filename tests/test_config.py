@@ -175,6 +175,24 @@ def test_bundled_demo_configs_parse():
     ("engine.tempo_bpm = 16001", "a two-measure block must last at least one tick"),
     ("engine.tick_ms = 4001", "a two-measure block must last at least one tick"),
     ("engine.melody_agents = 16", "melody_agents outside 1..15"),
+    # out of their domains; these used to validate
+    ("engine.explore_prob = 2", r"explore_prob outside \[0, 1\]"),
+    ("graph.vertex_fade_per_s = -5", "graph: vertex_fade_per_s must be >= 0"),
+    ("graph.edge_fade_per_s = -0.1", "graph: edge_fade_per_s must be >= 0"),
+    ("graph.inferred_edge_weight = 7", r"graph: inferred_edge_weight outside \[0, 1\]"),
+    ("graph.co_activation_boost = -2", r"graph: co_activation_boost outside \[0, 1\]"),
+    ("xcs.learning_rate = 5", r"xcs: learning_rate outside \(0, 1\]"),
+    ("xcs.learning_rate = 0", r"xcs: learning_rate outside \(0, 1\]"),
+    ("xcs.accuracy_scale = 0", r"xcs: accuracy_scale outside \(0, 1\]"),
+    ("xcs.crossover_prob = -1", r"xcs: crossover_prob outside \[0, 1\]"),
+    ("xcs.mutation_prob = 1.5", r"xcs: mutation_prob outside \[0, 1\]"),
+    ("xcs.wildcard_prob = 3", r"xcs: wildcard_prob outside \[0, 1\]"),
+    ("xcs.ga_threshold = -1", "xcs: ga_threshold must be >= 0"),
+    ("xcs.deletion_threshold = -1", "xcs: deletion_threshold must be >= 0"),
+    ("xcs.subsumption_experience = -1", "xcs: subsumption_experience must be >= 0"),
+    ("xcs.init_prediction = -0.5", "xcs: init_prediction must be >= 0"),
+    ("xcs.init_error = -0.5", "xcs: init_error must be >= 0"),
+    ("xcs.init_fitness = -0.5", "xcs: init_fitness must be >= 0"),
 ])
 def test_malformed_values_rejected_at_parse_time(line, message):
     with pytest.raises(ConfigError, match=message):

@@ -89,6 +89,25 @@ def test_edge_inference_and_boost():
     assert g.edges[("a", "b")].weight == pytest.approx(0.6)
 
 
+def test_vertex_and_edge_reads_are_snapshots():
+    """A read is a value as of its lookup: a later tick changes the graph,
+    not what was read."""
+    g = ConceptGraph()
+    g.apply_message(ActivateConcept("a", "object", 60.0, "set"))
+    g.apply_message(ActivateConcept("b", "object", 70.0, "set"))
+    g.apply_message(AssignTheme("a", 3))
+    g.tick(30)  # infers a-b at 0.5, then fades it
+    vertex, edge = g.vertices["a"], g.edges[("a", "b")]
+    assert (vertex.id, vertex.kind, vertex.theme, vertex.last_activated) == (
+        "a", VertexKind.OBJECT, 3, 0)
+    assert (edge.a, edge.b, edge.explicit) == ("a", "b", False)
+    activation, weight = vertex.activation, edge.weight
+    g.tick(30)  # fades a, boosts a-b by 0.1
+    assert (vertex.activation, edge.weight) == (activation, weight)
+    assert g.vertices["a"].activation < activation
+    assert g.edges[("a", "b")].weight > weight
+
+
 def test_no_inference_at_or_below_50():
     g = no_fade()
     g.apply_message(ActivateConcept("a", "object", 50.0, "set"))

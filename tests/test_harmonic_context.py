@@ -33,8 +33,8 @@ def test_initial_state():
 
 def test_extend_fills_and_slides():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
-    m.extend([(parse_chord("G"), 2)])
+    m.extend([parse_chord("C")] * 2)
+    m.extend([parse_chord("G")] * 2)
     # C-maj columns slid into the history half
     assert np.all(m.cells[0, :32] == 1.0)
     # G-maj region: G row 1.0, B and D rows 0.8
@@ -45,7 +45,7 @@ def test_extend_fills_and_slides():
 
 def test_carryover_clamp():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C7"), 1), (parse_chord("E7"), 1)])
+    m.extend([parse_chord("C7"), parse_chord("E7")])
     # C was 1.0 under C7, clamps to 0.5 under E7's columns
     assert np.all(m.cells[0, 48:] == 0.5)
     assert np.all(m.cells[4, 48:] == 1.0)   # E7 root
@@ -54,10 +54,13 @@ def test_carryover_clamp():
 
 def test_extend_validates_measure_total():
     m = ResourceMatrix()
-    with pytest.raises(HarmonyError):
-        m.extend([(parse_chord("C"), 1)])
-    with pytest.raises(HarmonyError):
-        m.extend([(parse_chord("C"), 3)])
+    c = parse_chord("C")
+    with pytest.raises(HarmonyError, match="extend takes 2 chords, one per measure, got 1"):
+        m.extend([c])
+    with pytest.raises(HarmonyError, match="got 3"):
+        m.extend([c] * 3)
+    with pytest.raises(HarmonyError, match="not a chord symbol"):
+        m.extend([(c, 1), (c, 1)])  # chord durations are gone
 
 
 def test_fragment_cells_cover_partial_cells():
@@ -72,14 +75,14 @@ def test_fragment_cells_cover_partial_cells():
 
 def test_fitness_mean_of_two_equal_notes():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     f = frag([(60, 0, 480), (62, 480, 480)])  # C row 1.0, D row 0.3
     assert harmonic_fitness(m, f, 0, 0) == pytest.approx(0.65)
 
 
 def test_fitness_by_transposition_octave_invariant():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C7"), 1), (parse_chord("E7"), 1)])
+    m.extend([parse_chord("C7"), parse_chord("E7")])
     m.consume(placed_fragment(frag([(64, 0, 960)]), 0, 12))
     region_ticks = m.region_cells * TICKS_PER_CELL
     cases = [
@@ -111,7 +114,7 @@ def test_placement_outside_region_raises():
 
 def test_consume_zeroes_and_halves_neighbors():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     f = frag([(60, 0, 480)])  # pitch class 0, cells 0..3 of the region
     m.consume(f)
     cols = slice(32, 36)
@@ -124,7 +127,7 @@ def test_consume_zeroes_and_halves_neighbors():
 
 def test_consume_then_refitness_drops():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     f = frag([(60, 0, 960)])
     before = harmonic_fitness(m, f, 0, 0)
     m.consume(f)
@@ -134,7 +137,7 @@ def test_consume_then_refitness_drops():
 
 def test_copy_is_independent():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     clone = m.copy()
     clone.consume(frag([(60, 0, 480)]))
     assert np.all(m.cells[0, 32:36] == 1.0)
@@ -164,8 +167,8 @@ def reference_extend(matrix, chords):
     slide = matrix.region_cells
     matrix.cells[:, :-slide] = matrix.cells[:, slide:]
     col = matrix.region_start
-    for chord, measures in chords:
-        for _ in range(measures * matrix.cells_per_measure):
+    for chord in chords:
+        for _ in range(matrix.cells_per_measure):
             column = np.clip(matrix.cells[:, col - 1], 0.0, CARRYOVER_CLAMP)
             for tone in chord.tones:
                 column[tone] = CHORD_TONE_VALUE
@@ -186,10 +189,7 @@ def reference_consume(matrix, fragment, transposition, shift):
 
 CHORDS = [parse_chord(c) for c in ("C", "G7", "Am", "F#m7", "Bdim", "E7", "Dm7", "Csus4")]
 
-blocks = st.one_of(
-    st.sampled_from(CHORDS).map(lambda chord: [(chord, 2)]),
-    st.lists(st.sampled_from(CHORDS), min_size=2, max_size=2).map(
-        lambda pair: [(chord, 1) for chord in pair]))
+blocks = st.lists(st.sampled_from(CHORDS), min_size=2, max_size=2)
 
 # a placement: (fragment, transposition, shift)
 placements = st.tuples(

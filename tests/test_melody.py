@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ams.chord_model import parse_chord
+from ams.config import ASSET_ROOT
 from ams.context_graph import AffectSnapshot
 from ams.harmonic_context import ResourceMatrix
 from ams.melody import (
@@ -29,7 +30,8 @@ from ams.melody import (
     reward,
     style_score,
 )
-from ams.render import TICKS_PER_CELL
+from ams.render import MEASURE_TICKS, TICKS_PER_CELL
+from ams.themes import load_themes
 from ams.xcs import XcsParams, XcsPopulation
 
 KEY = Key(0, "major")
@@ -186,7 +188,7 @@ def agent(**kw) -> MelodyAgent:
 
 def test_search_finds_chord_tones():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     a = agent()
     f = frag([(60, 0, 960), (64, 960, 960)], measures=1)
     found = a.search_placement(f, m, "folk", 1, RangeConstraint(40, 90))
@@ -199,7 +201,7 @@ def test_search_finds_chord_tones():
 
 def test_search_respects_range_constraint():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     a = agent()
     f = frag([(60, 0, 960)], measures=1)
     found = a.search_placement(f, m, "folk", 1, RangeConstraint(70, 80))
@@ -216,7 +218,7 @@ def test_search_returns_none_below_h_min():
 
 def test_propose_gate_abstains_without_update():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     a = agent(reward_gate=2.0)  # above any possible prediction
     theme = frag([(60, 0, 960)], measures=1)
     result = a.propose(theme, AffectSnapshot(), 0, m, "folk", 1,
@@ -227,7 +229,7 @@ def test_propose_gate_abstains_without_update():
 
 def test_propose_commits_when_open():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     a = agent(reward_gate=0.0)
     theme = frag([(60, 0, 960), (64, 960, 960)], measures=1)
     result = a.propose(theme, AffectSnapshot(), 0, m, "folk", 1,
@@ -238,7 +240,7 @@ def test_propose_commits_when_open():
 
 def test_admissible_transpositions_are_what_the_search_may_place():
     m = ResourceMatrix()
-    m.extend([(parse_chord("C"), 2)])
+    m.extend([parse_chord("C")] * 2)
     a = agent(h_min=0.0)
     region_ticks = m.region_cells * TICKS_PER_CELL
     cases = [
@@ -280,7 +282,7 @@ def test_placed_fragment_moves_notes_and_key_in_one_pass():
 
 def test_search_is_deterministic():
     m = ResourceMatrix()
-    m.extend([(parse_chord("G7"), 2)])
+    m.extend([parse_chord("G7")] * 2)
     a = agent()
     f = frag([(60, 0, 480), (62, 480, 480)], measures=1)
     first = a.search_placement(f, m, "jazz", 2, RangeConstraint(40, 90))
@@ -310,3 +312,19 @@ def test_evolve_theme_deterministic_with_seed():
     c1 = evolve_theme(a, b, random.Random(4))
     c2 = evolve_theme(a, b, random.Random(4))
     assert c1.notes == c2.notes
+
+
+BUNDLED_THEMES = load_themes(ASSET_ROOT / "themes")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED_THEMES)), st.sampled_from(sorted(BUNDLED_THEMES)),
+       st.integers(0, 2**32 - 1))
+# a note sounding past the four-measure cap, which reverse then moved to -1920
+@example(0, 7, 6)
+def test_evolved_notes_lie_inside_the_evolved_theme(a, b, seed):
+    """Every note of an evolved theme lies in 0..length * MEASURE_TICKS, so
+    the operators, and the themes bred from it, keep their notes inside too."""
+    child = evolve_theme(BUNDLED_THEMES[a], BUNDLED_THEMES[b], random.Random(seed))
+    end = child.length_measures * MEASURE_TICKS
+    assert all(0 <= n.onset and n.onset + n.duration <= end for n in child.notes)

@@ -141,8 +141,7 @@ def matrices(draw):
         matrix.cells = rng.random((12, matrix.columns)).round(draw(st.sampled_from([1, 2, 9])))
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
-            chords = draw(st.lists(st.sampled_from(CHORDS), min_size=1, max_size=2))
-            matrix.extend([(chord, 2 // len(chords)) for chord in chords])
+            matrix.extend(draw(st.lists(st.sampled_from(CHORDS), min_size=2, max_size=2)))
         else:
             note = Note(draw(st.integers(40, 80)), draw(st.integers(0, 600)),
                         draw(st.integers(1, 480)))
