@@ -1,8 +1,9 @@
 """Command line entry point.
 
-Subcommands: serve (live OSC), replay (deterministic trace playback),
-train-chords, repl (interactive console) and validate-config.  Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+Subcommands: serve (live OSC input, paced by wall time), replay
+(deterministic trace playback, as fast as possible), train-chords, repl
+(interactive console) and validate-config.  Exit codes: 0 success, 1 runtime
+failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 
 from .chord_model import (
@@ -27,7 +29,7 @@ from .config import ASSET_ROOT, ConfigError, EngineConfig, load_config, read_tex
 from .context_graph import GraphError
 from .melody import MelodyError
 from .osc_gateway import MESSAGE_TYPES, GameMessage, MessageType, OscServer
-from .render import RealClock, score_events, stream_events, write_midi
+from .render import write_midi
 from .themes import ThemeError, load_themes
 
 EXIT_OK = 0
@@ -60,10 +62,14 @@ def parse_trace(text: str, source: str = "<trace>") -> list[tuple[int, GameMessa
             continue
         try:
             obj = json.loads(line)
-            t_ms = int(obj["t_ms"])
+            t_ms = obj["t_ms"]
             msg = parse_trace_line(obj)
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise TraceError(f"{source}:{lineno}: {exc}") from None
+        # a JSON integer: `type` rather than isinstance, since JSON true loads
+        # as a bool, which is an int
+        if type(t_ms) is not int or t_ms < 0:
+            raise TraceError(f"{source}:{lineno}: t_ms must be an integer >= 0, got {t_ms!r}")
         if t_ms < last_t:
             raise TraceError(
                 f"{source}:{lineno}: t_ms {t_ms} goes backwards (after {last_t})")
@@ -141,9 +147,18 @@ def cmd_serve(args) -> int:
     server = OscServer(engine.queue, port=config.osc_port, host=config.osc_host)
     server.start()
     print(f"listening on udp {config.osc_host}:{server.port}", flush=True)
-    clock = RealClock()
+    start = time.monotonic()
+
+    def wait(t_ms: int) -> list[GameMessage]:
+        # live messages reach the queue from the OSC thread; this feed only
+        # holds the tick at t_ms back until that much wall time has passed
+        delay = start + t_ms / 1000.0 - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        return []
+
     try:
-        engine.run(int(args.duration_s * 1000), clock=clock,
+        engine.run(int(args.duration_s * 1000), message_feed=wait,
                    on_block=lambda rec: print(
                        f"cycle {rec['cycle']}: leader={rec['leader']} "
                        f"chords={' '.join(rec['chords'])}", flush=True))
@@ -152,11 +167,6 @@ def cmd_serve(args) -> int:
     finally:
         server.close()
     write_outputs(engine, args)
-    if args.play:
-        events = score_events(engine.score())
-        stream_events(events, RealClock(),
-                      lambda e, t: print(f"{t:8.3f}s {e.kind:3} ch{e.channel} "
-                                         f"pitch={e.pitch} vel={e.velocity}"))
     return EXIT_OK
 
 
@@ -167,7 +177,7 @@ def cmd_replay(args) -> int:
     engine = build_engine(config)
     events = parse_trace(read_text(args.trace, TraceError), str(args.trace))
     duration = args.duration_ms or events[-1][0] + int(2 * engine.block_ms)
-    engine.run(duration, message_feed=trace_feed(events), clock=None)
+    engine.run(duration, message_feed=trace_feed(events))
     write_outputs(engine, args)
     print(f"replayed {len(events)} events over {duration} ms: "
           f"{engine.cycle_index} cycles, "
@@ -304,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the final score as a MIDI file")
     p.add_argument("--cycle-log", help="write per-cycle JSON lines")
     p.add_argument("--score-log", help="write per-note JSON lines")
-    p.add_argument("--play", action="store_true",
-                   help="print timed note events after the run")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("replay", help="deterministically replay a trace file")

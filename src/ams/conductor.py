@@ -325,32 +325,29 @@ class Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, duration_ms: int, message_feed=None, clock=None,
-            on_block=None) -> Score:
+    def run(self, duration_ms: int, message_feed=None, on_block=None) -> Score:
         """Run ticks and composition for duration_ms of engine time.
 
-        message_feed(t_ms) -> list of GameMessages due at or before t_ms
-        (used by trace replay).  clock, when given, is slept to pace real
-        time; None runs as fast as possible.  Composition happens one block
-        ahead of playback.
+        message_feed(t_ms) is called before each tick; it returns the
+        GameMessages due at or before t_ms.  A trace feed returns them at
+        once; a live feed returns none and waits for wall time, so it paces
+        the run.  Without a feed the run goes as fast as possible.
+        Composition happens one block ahead of playback.
         """
         block_ms = self.config.block_ms
         n_blocks = -(-duration_ms // block_ms)
         put = self.queue.put
-        start = clock.now() if clock is not None else 0.0
         while self.time_ms < duration_ms:
             if message_feed is not None:
                 for msg in message_feed(self.time_ms):
                     put(msg)
             # compose every block whose lead-in deadline has passed
             while (self.cycle_index < n_blocks
-                   and max(0.0, (self.cycle_index - 1) * block_ms) <= self.time_ms):
+                   and (self.cycle_index - 1) * block_ms <= self.time_ms):
                 record = self.compose_block()
                 if on_block is not None:
                     on_block(record)
             self.tick()
-            if clock is not None:
-                clock.sleep_until(start + self.time_ms / 1000.0)
         return self.score()
 
     def score(self) -> Score:

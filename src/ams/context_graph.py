@@ -198,8 +198,6 @@ class ConceptGraph:
         return self._add_vertex(name, kind) if index is None else index
 
     def _set_edge(self, a: str, b: str, weight: float, explicit: bool) -> None:
-        if a == b:
-            raise GraphError(f"self-loop on {a!r}")
         key = _edge_key(a, b)
         ia, ib = self._index[key[0]], self._index[key[1]]
         if self._kinds[ia] is VertexKind.AFFECT and self._kinds[ib] is VertexKind.AFFECT:
@@ -275,6 +273,10 @@ class ConceptGraph:
         elif isinstance(msg, SetEdge):
             if not 0.0 <= msg.weight <= 1.0:
                 raise GraphError(f"edge weight {msg.weight} outside [0, 1]")
+            # checked before either end is created: a rejected edge adds no vertex
+            resolved = self._resolve(msg.a)
+            if msg.a == msg.b or (resolved is not None and resolved == self._resolve(msg.b)):
+                raise GraphError(f"self-loop on {msg.a!r}")
             a = self._ensure_concept(msg.a, VertexKind.OBJECT)
             b = self._ensure_concept(msg.b, VertexKind.OBJECT)
             self._set_edge(self._ids[a], self._ids[b], msg.weight, explicit=True)

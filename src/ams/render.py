@@ -1,10 +1,9 @@
-"""Score rendering: deterministic Standard MIDI File output, a parse-back
-reader for round-trip checks, and timed event streaming for live mode."""
+"""Score rendering: deterministic Standard MIDI File output and a parse-back
+reader for round-trip checks."""
 
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass, field, replace
 
 # The time grid, fixed at 4/4: every module takes these from here.
@@ -195,66 +194,3 @@ def read_midi_bytes(blob: bytes) -> Score:
         if index > 0 or track.notes:
             tracks.append(track)
     return Score(tempo_bpm=tempo_bpm, tracks=tracks)
-
-
-# ---------------------------------------------------------------------------
-# timed streaming
-
-
-class RealClock:
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep_until(self, t: float) -> None:
-        delay = t - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
-
-class VirtualClock:
-    """Deterministic clock for replay: sleeping advances time instantly."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def sleep_until(self, t: float) -> None:
-        if t > self._now:
-            self._now = t
-
-
-@dataclass(frozen=True)
-class TimedEvent:
-    time_s: float
-    kind: str  # "on" | "off"
-    channel: int
-    pitch: int
-    velocity: int
-
-
-def score_events(score: Score) -> list[TimedEvent]:
-    """Flatten a score into wall-clock-ordered note on/off events."""
-    seconds_per_tick = 60.0 / (score.tempo_bpm * TICKS_PER_QUARTER)
-    events = []
-    for track in score.tracks:
-        for note in track.notes:
-            events.append(TimedEvent(note.onset * seconds_per_tick, "on",
-                                     track.channel, note.pitch, note.velocity))
-            events.append(TimedEvent((note.onset + note.duration) * seconds_per_tick,
-                                     "off", track.channel, note.pitch, 0))
-    events.sort(key=lambda e: (e.time_s, e.kind == "on", e.channel, e.pitch))
-    return events
-
-
-def stream_events(events: list[TimedEvent], clock, sink) -> None:
-    """Dispatch events at their scheduled times, from the clock's now.
-
-    sink(event, actual_time) is called for each event; errors from the sink
-    propagate to the caller.
-    """
-    base = clock.now()
-    for event in events:
-        clock.sleep_until(base + event.time_s)
-        sink(event, clock.now() - base)

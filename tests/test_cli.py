@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,14 @@ def test_parse_trace_rejects_backwards_time():
           '{"t_ms": 50, "type": "affect", "category": "threat", "level": 1}\n'
     with pytest.raises(TraceError, match=":2: t_ms 50 goes backwards"):
         parse_trace(bad)
+
+
+@pytest.mark.parametrize("t_ms", ["true", "1.9", '"2000"', "1e20", "-1"])
+def test_parse_trace_t_ms_is_a_json_integer_at_least_zero(t_ms):
+    with pytest.raises(TraceError, match=r"^t\.jsonl:2: t_ms must be an integer >= 0"):
+        parse_trace('{"t_ms": 0, "type": "affect", "category": "threat", "level": 1}\n'
+                    f'{{"t_ms": {t_ms}, "type": "affect", "category": "threat", "level": 1}}\n',
+                    "t.jsonl")
 
 
 def test_parse_trace_reports_line_of_bad_json():
@@ -180,6 +189,15 @@ def test_serve_port_flag_zero_overrides_the_config_port(monkeypatch):
     ports = _record_server_ports(monkeypatch)
     assert main(["serve", "--port", "0", "--duration-s", "0"]) == EXIT_OK
     assert ports == [0]
+
+
+def test_serve_is_paced_by_wall_time(monkeypatch, capsys):
+    _record_server_ports(monkeypatch)
+    start = time.monotonic()
+    assert main(["serve", "--port", "0", "--duration-s", "0.3"]) == EXIT_OK
+    # the last tick starts at 270 ms; nothing sleeps after it
+    assert time.monotonic() - start >= 0.27
+    assert "cycle 0: " in capsys.readouterr().out
 
 
 def test_serve_port_out_of_range_exits_usage_before_binding(monkeypatch, capsys):

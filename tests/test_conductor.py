@@ -214,7 +214,7 @@ def test_replay_ranks_each_chord_context_once(monkeypatch):
     engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
     events = parse_trace((ASSET_ROOT / "traces" / "mixed_session.jsonl").read_text())
     engine.run(events[-1][0] + int(2 * engine.block_ms),
-               message_feed=trace_feed(events), clock=None)
+               message_feed=trace_feed(events))
     # each cycle asks for at least two rankings, so contexts repeat
     assert 0 < len(ranked) < 2 * engine.cycle_index
     assert set(ranked.values()) == {1}
@@ -305,7 +305,7 @@ def test_replay_realizes_each_committed_placement_once(monkeypatch):
     engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
     events = parse_trace((ASSET_ROOT / "traces" / "mixed_session.jsonl").read_text())
     engine.run(events[-1][0] + int(2 * engine.block_ms),
-               message_feed=trace_feed(events), clock=None)
+               message_feed=trace_feed(events))
     committed = sum(1 for record in engine.cycle_log
                     for agent in record["agents"] if not agent["abstained"])
     assert committed > 0
@@ -343,7 +343,7 @@ def _replay_counting_lead_searches(monkeypatch):
         engines.append(engine)
         events = parse_trace((ASSET_ROOT / "traces" / f"{trace}.jsonl").read_text())
         engine.run(events[-1][0] + int(2 * engine.block_ms),
-                   message_feed=trace_feed(events), clock=None)
+                   message_feed=trace_feed(events))
         lead_searches: dict[int, list[bool]] = {}
         for cycle, agent, admissible in calls:
             if agent == 1:

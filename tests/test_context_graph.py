@@ -76,6 +76,30 @@ def test_no_affect_affect_edges():
         g.apply_message(SetEdge("threat", "sadness", 0.5))
 
 
+@pytest.mark.parametrize("a, b", [("lamp", "lamp"), ("Threat", "threat")])
+def test_rejected_self_loop_adds_no_vertex(a, b):
+    g = ConceptGraph()
+    before = g.vertex_ids()
+    with pytest.raises(GraphError, match="self-loop"):
+        g.apply_message(SetEdge(a, b, 0.5))
+    assert g.vertex_ids() == before
+    assert len(g.edges) == 0
+
+
+def test_activating_an_affect_name_sets_the_affect_whatever_the_kind():
+    g = ConceptGraph()
+    before = g.vertex_ids()
+    g.apply_message(ActivateConcept("Happiness", "environment", 55.0, "set"))
+    assert g.vertex_ids() == before
+    assert g.vertices["happiness"].kind is VertexKind.AFFECT
+    assert g.affect_snapshot().happiness == 55.0
+    # an existing vertex keeps its kind too
+    g.apply_message(ActivateConcept("lamp", "object", 10.0, "set"))
+    g.apply_message(ActivateConcept("lamp", "environment", 20.0, "set"))
+    assert g.vertices["lamp"].kind is VertexKind.OBJECT
+    assert g.vertices["lamp"].activation == 20.0
+
+
 def test_edge_inference_and_boost():
     params = GraphParams(vertex_fade_per_s=0.0, edge_fade_per_s=0.0)
     g = ConceptGraph(params)

@@ -93,8 +93,6 @@ class ReferenceGraph:
         return self.vertices[resolved]
 
     def _set_edge(self, a, b, weight, explicit):
-        if a == b:
-            raise GraphError(f"self-loop on {a!r}")
         va, vb = self.vertices[a], self.vertices[b]
         if va.kind is VertexKind.AFFECT and vb.kind is VertexKind.AFFECT:
             raise GraphError("edges never form between affect vertices")
@@ -122,6 +120,9 @@ class ReferenceGraph:
         elif isinstance(msg, SetEdge):
             if not 0.0 <= msg.weight <= 1.0:
                 raise GraphError(f"edge weight {msg.weight} outside [0, 1]")
+            resolved = self._resolve(msg.a)
+            if msg.a == msg.b or (resolved is not None and resolved == self._resolve(msg.b)):
+                raise GraphError(f"self-loop on {msg.a!r}")
             a = self._resolve(msg.a) or self._ensure_concept(msg.a, VertexKind.OBJECT).id
             b = self._resolve(msg.b) or self._ensure_concept(msg.b, VertexKind.OBJECT).id
             self._set_edge(a, b, msg.weight, explicit=True)

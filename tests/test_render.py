@@ -1,4 +1,4 @@
-"""MIDI writing, parse-back and event streaming."""
+"""MIDI writing and parse-back."""
 
 import pytest
 
@@ -8,12 +8,9 @@ from ams.render import (
     Score,
     ScoreNote,
     Track,
-    VirtualClock,
     _vlq,
     read_midi_bytes,
-    score_events,
     score_to_midi_bytes,
-    stream_events,
 )
 
 
@@ -107,22 +104,3 @@ def test_parse_back_detects_unmatched_note_on():
             + b"MTrk" + struct.pack(">I", len(body)) + body)
     with pytest.raises(RenderError):
         read_midi_bytes(blob)
-
-
-def test_score_events_order_and_times():
-    events = score_events(sample_score())
-    times = [e.time_s for e in events]
-    assert times == sorted(times)
-    assert events[0].time_s == 0.0 and events[0].kind == "on"
-    # 480 ticks at 120 bpm = one quarter note = 0.5 s
-    on_64 = next(e for e in events if e.kind == "on" and e.pitch == 64)
-    assert on_64.time_s == pytest.approx(0.5)
-
-
-def test_stream_events_with_virtual_clock():
-    clock = VirtualClock()
-    seen = []
-    stream_events(score_events(sample_score()), clock,
-                  lambda e, t: seen.append((e.pitch, e.kind, round(t, 6))))
-    assert len(seen) == 10
-    assert clock.now() == pytest.approx(2.0)  # last note-off at tick 1920
