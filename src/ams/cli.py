@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+# the latest engine time a replay runs to, a trace event's included: one
+# day, which replays in minutes, where an unbounded time runs until killed
+MAX_ENGINE_MS = 86_400_000
+
 
 class TraceError(ValueError):
     pass
@@ -68,8 +72,9 @@ def parse_trace(text: str, source: str = "<trace>") -> list[tuple[int, GameMessa
             raise TraceError(f"{source}:{lineno}: {exc}") from None
         # a JSON integer: `type` rather than isinstance, since JSON true loads
         # as a bool, which is an int
-        if type(t_ms) is not int or t_ms < 0:
-            raise TraceError(f"{source}:{lineno}: t_ms must be an integer >= 0, got {t_ms!r}")
+        if type(t_ms) is not int or not 0 <= t_ms <= MAX_ENGINE_MS:
+            raise TraceError(f"{source}:{lineno}: t_ms must be an integer >= 0 "
+                             f"and <= {MAX_ENGINE_MS}, got {t_ms!r}")
         if t_ms < last_t:
             raise TraceError(
                 f"{source}:{lineno}: t_ms {t_ms} goes backwards (after {last_t})")
@@ -298,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         return float(value)
 
     def milliseconds(value: str) -> int:
-        if int(value) < 1:
-            raise argparse.ArgumentTypeError(f"duration must be >= 1 ms, got {value}")
+        if not 1 <= int(value) <= MAX_ENGINE_MS:
+            raise argparse.ArgumentTypeError(
+                f"duration must be >= 1 and <= {MAX_ENGINE_MS} ms, got {value}")
         return int(value)
 
     def order(value: str) -> int:

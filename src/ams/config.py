@@ -13,7 +13,7 @@ from .chord_model import STYLES
 from .context_graph import GraphError, GraphParams
 from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
 from .osc_gateway import THEME_IDS
-from .render import BEATS_PER_MEASURE, BLOCK_TICKS, MIN_TEMPO_BPM, TICKS_PER_QUARTER
+from .render import BEATS_PER_MEASURE, BLOCK_TICKS, MIDI_MAX, MIN_TEMPO_BPM, TICKS_PER_QUARTER
 from .xcs import XcsError, XcsParams
 
 ASSET_ROOT = Path(__file__).parent / "assets"
@@ -131,8 +131,8 @@ def _apply(config: EngineConfig, key: str, value: str) -> None:
         agent_id = int(key.rsplit(".", 1)[1])
         lo, _, hi = value.partition(":")
         lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= 127:
-            raise ConfigError(f"{key} needs lo:hi with 0 <= lo <= hi <= 127")
+        if not 0 <= lo <= hi <= MIDI_MAX:
+            raise ConfigError(f"{key} needs lo:hi with 0 <= lo <= hi <= {MIDI_MAX}")
         config.agent_ranges[agent_id] = (lo, hi)
         return
     if key not in _KEYS:

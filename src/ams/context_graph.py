@@ -8,12 +8,12 @@ edge weights fade over time.
 The state lives in numpy arrays, so a tick costs a fixed handful of array
 operations plus work in proportion to what changed.  Vertex indices follow
 insertion order, with the six affect vertices first (index i is
-AFFECT_CATEGORIES[i]).  Edge slots are dense: removing an edge moves the
-last slot into its place.  Each edge is stored in both directions, so that
-one gather and one scatter spread activation along all of them: slot s
-owns directed entries 2s (a -> b) and 2s + 1 (b -> a), for its sorted
-endpoint ids a < b, and both entries carry the edge's weight and inferred
-flag.
+AFFECT_CATEGORIES[i]).  Edge slots are dense, explicit edges first: an
+edge's provenance is its slot's position, and the inferred edges fade as
+one slice.  Each edge is stored in both directions, so that one gather and
+one scatter spread activation along all of them: slot s owns directed
+entries 2s (a -> b) and 2s + 1 (b -> a), for its sorted endpoint ids
+a < b, and both entries carry the edge's weight.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _grown(array: np.ndarray) -> np.ndarray:
-    """`array` at twice its length; the new entries are zero."""
-    bigger = np.zeros(2 * len(array), dtype=array.dtype)
+def _grown(array: np.ndarray, fill=0) -> np.ndarray:
+    """`array` at twice its length; the new entries are `fill`."""
+    bigger = np.full(2 * len(array), fill, dtype=array.dtype)
     bigger[:len(array)] = array
     return bigger
 
@@ -128,14 +128,15 @@ class ConceptGraph:
     """Live game-context model.  Owned by a single engine thread; readers get
     point-in-time snapshots via affect_snapshot().
 
-    Storage: one activation per vertex index in a float64 array, affect
-    vertices at indices 0-5 and every other vertex after them in insertion
-    order; per directed edge (two per edge slot, a -> b at 2s and b -> a at
-    2s + 1), the source and target vertex indices, the weight and the
-    inferred flag, each written to both directions at once; the number of
-    inferred edges as an int; edge keys only in the key -> slot map, in
-    creation order.  `vertices` (id -> Vertex, in index order) and `edges`
-    (sorted endpoint pair -> Edge, in creation order) are read-only
+    Storage: per vertex index, the activation in a float64 array and the
+    theme in an int array (-1 for none), affect vertices at indices 0-5
+    and every other vertex after them in insertion order; per directed edge
+    (two per edge slot, a -> b at 2s and b -> a at 2s + 1), the source and
+    target vertex indices and the weight, each written to both directions
+    at once; the number E of explicit edges, which hold slots 0..E-1, the
+    inferred edges holding the rest; edge keys only in the key -> slot map,
+    in creation order.  `vertices` (id -> Vertex, in index order) and
+    `edges` (sorted endpoint pair -> Edge, in creation order) are read-only
     mappings whose values are snapshots as of their lookup; the graph
     changes only through `apply_message` and `tick`.
     """
@@ -147,18 +148,16 @@ class ConceptGraph:
         self._ids: list[str] = []
         self._index: dict[str, int] = {}
         self._kinds: list[VertexKind] = []
-        self._themes: list[int | None] = []
         self._last_activated: list[int] = []
         self._adjacency: list[dict[int, int]] = []  # neighbour index -> edge slot
         self._activation = np.zeros(_INITIAL_CAPACITY)
-        self._themed = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._themes = np.full(_INITIAL_CAPACITY, -1, dtype=np.intp)  # -1: none
         # per edge slot s, directed entries 2s (a -> b) and 2s + 1 (b -> a)
         self._slots: dict[tuple[str, str], int] = {}  # creation order
         self._sources = np.zeros(2 * _INITIAL_CAPACITY, dtype=np.intp)
         self._targets = np.zeros(2 * _INITIAL_CAPACITY, dtype=np.intp)
         self._weights = np.zeros(2 * _INITIAL_CAPACITY)
-        self._inferred = np.zeros(2 * _INITIAL_CAPACITY, dtype=bool)
-        self._n_inferred = 0  # edges, not directions
+        self._n_explicit = 0  # explicit edges hold slots 0..E-1
         # every _set_edge and _remove_edge bumps the structure version,
         # which keys the hot-pair cache
         self._version = 0
@@ -176,11 +175,10 @@ class ConceptGraph:
         index = len(self._ids)
         if index == len(self._activation):
             self._activation = _grown(self._activation)
-            self._themed = _grown(self._themed)
+            self._themes = _grown(self._themes, -1)
         self._ids.append(vid)
         self._index[vid] = index
         self._kinds.append(kind)
-        self._themes.append(None)
         self._last_activated.append(0)
         self._adjacency.append({})
         return index
@@ -209,47 +207,51 @@ class ConceptGraph:
                 self._sources = _grown(self._sources)
                 self._targets = _grown(self._targets)
                 self._weights = _grown(self._weights)
-                self._inferred = _grown(self._inferred)
-            self._slots[key] = slot
-            d = 2 * slot
-            self._sources[d] = self._targets[d + 1] = ia
-            self._sources[d + 1] = self._targets[d] = ib
-            self._adjacency[ia][ib] = slot
-            self._adjacency[ib][ia] = slot
-        else:
-            d = 2 * slot
-            self._n_inferred -= self._inferred.item(d)
+        if explicit and slot >= self._n_explicit:
+            # joining the explicit block: the first inferred edge takes its slot
+            if slot != self._n_explicit:
+                self._move(self._n_explicit, slot)
+            slot = self._n_explicit
+            self._n_explicit += 1
+        self._place(ia, ib, slot, weight)
+        self._version += 1
+
+    def _place(self, ia: int, ib: int, slot: int, weight: float) -> None:
+        """Write edge (ids[ia], ids[ib]), a sorted key, into `slot`."""
+        self._slots[(self._ids[ia], self._ids[ib])] = slot
+        d = 2 * slot
+        self._sources[d] = self._targets[d + 1] = ia
+        self._sources[d + 1] = self._targets[d] = ib
         # one scalar store per entry: a two-entry slice store costs a few
         # times more, and a world of 5k edges is loaded through here
         self._weights[d] = self._weights[d + 1] = weight
-        self._inferred[d] = self._inferred[d + 1] = not explicit
-        self._n_inferred += not explicit
-        self._version += 1
+        self._adjacency[ia][ib] = slot
+        self._adjacency[ib][ia] = slot
+
+    def _move(self, slot: int, to: int) -> None:
+        d = 2 * slot
+        self._place(self._sources.item(d), self._sources.item(d + 1), to, self._weights.item(d))
 
     def _remove_edge(self, key: tuple[str, str]) -> None:
+        """Remove an inferred edge; the last slot moves into its place.
+        Explicit edges are never removed, so they keep slots 0..E-1."""
         slot = self._slots.pop(key)
         d = 2 * slot
         ia, ib = self._sources.item(d), self._sources.item(d + 1)
         del self._adjacency[ia][ib]
         del self._adjacency[ib][ia]
-        self._n_inferred -= self._inferred.item(d)
         last = len(self._slots)
         if slot != last:
-            m = 2 * last
-            ma, mb = self._sources.item(m), self._sources.item(m + 1)
-            self._slots[(self._ids[ma], self._ids[mb])] = slot
-            for array in (self._sources, self._targets, self._weights, self._inferred):
-                array[d:d + 2] = array[m:m + 2]
-            self._adjacency[ma][mb] = slot
-            self._adjacency[mb][ma] = slot
+            self._move(last, slot)
         self._version += 1
 
     def _vertex(self, vid: str, index: int) -> Vertex:
+        theme = self._themes.item(index)
         return Vertex(vid, self._kinds[index], self._activation.item(index),
-                      self._themes[index], self._last_activated[index])
+                      None if theme < 0 else theme, self._last_activated[index])
 
     def _edge(self, key: tuple[str, str], slot: int) -> Edge:
-        return Edge(*key, self._weights.item(2 * slot), not self._inferred.item(2 * slot))
+        return Edge(*key, self._weights.item(2 * slot), slot < self._n_explicit)
 
     def degree(self, concept: str) -> int:
         index = self._index.get(concept)
@@ -285,7 +287,6 @@ class ConceptGraph:
             if self._kinds[index] is not VertexKind.OBJECT:
                 raise GraphError(f"theme assigned to non-object vertex {self._ids[index]!r}")
             self._themes[index] = msg.theme_id
-            self._themed[index] = True
         else:
             raise GraphError(f"unknown message {msg!r}")
 
@@ -327,15 +328,14 @@ class ConceptGraph:
         np.subtract(activation, vertex_fade, out=activation)
         np.maximum(activation, 0.0, out=activation)
         np.minimum(activation, MAX_LEVEL, out=activation)
-        if self._n_inferred:
-            n = 2 * len(self._slots)  # with the edges inferred above
+        explicit = self._n_explicit
+        if explicit < len(self._slots):  # with the edges inferred above
             edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
-            weights, inferred = self._weights[:n], self._inferred[:n]
-            faded = np.maximum(weights - edge_fade, 0.0)
-            np.copyto(weights, faded, where=inferred)
-            # the minimum may be an explicit edge's, which only costs the scan
-            if faded.item(faded.argmin()) < EDGE_REMOVAL_THRESHOLD:
-                doomed = (inferred[::2] & (faded[::2] < EDGE_REMOVAL_THRESHOLD)).nonzero()[0]
+            weights = self._weights[2 * explicit:2 * len(self._slots)]
+            np.subtract(weights, edge_fade, out=weights)
+            np.maximum(weights, 0.0, out=weights)
+            if weights.item(weights.argmin()) < EDGE_REMOVAL_THRESHOLD:
+                doomed = (weights[::2] < EDGE_REMOVAL_THRESHOLD).nonzero()[0] + explicit
                 # every key before the first removal, which moves the last slot
                 ids, sources = self._ids, self._sources
                 for key in [(ids[sources.item(2 * slot)], ids[sources.item(2 * slot + 1)])
@@ -364,7 +364,7 @@ class ConceptGraph:
                     if slot is None:
                         self._set_edge(self._ids[i], self._ids[j],
                                        self.params.inferred_edge_weight, explicit=False)
-                    elif self._inferred.item(2 * slot):
+                    elif slot >= self._n_explicit:
                         directed += (2 * slot, 2 * slot + 1)
             self._hot_directed = np.array(directed, dtype=np.intp)
             # an edge created here is boosted from the next tick on, so a
@@ -383,13 +383,13 @@ class ConceptGraph:
         """Theme of the most activated themed object; ties broken by recency,
         then lexicographic id.  None when no themed object is active."""
         n = len(self._ids)
-        activation = np.where(self._themed[:n], self._activation[:n], 0.0)
+        activation = np.where(self._themes[:n] >= 0, self._activation[:n], 0.0)
         top = activation.max()
         if not top > 0.0:
             return None
         tied = np.flatnonzero(activation == top).tolist()
         best = min(tied, key=lambda i: (-self._last_activated[i], self._ids[i]))
-        return self._themes[best], self._ids[best]
+        return self._themes.item(best), self._ids[best]
 
     def nearest_themed(self, concept: str, k: int) -> list[int]:
         """Themes of the k nearest themed objects by Dijkstra with per-edge
@@ -411,8 +411,8 @@ class ConceptGraph:
             if i in visited:
                 continue
             visited.add(i)
-            if i != source and themes[i] is not None:  # only objects carry themes
-                found.append(themes[i])
+            if i != source and themes.item(i) >= 0:  # only objects carry themes
+                found.append(themes.item(i))
                 if len(found) == k:
                     break
             for j, slot in self._adjacency[i].items():

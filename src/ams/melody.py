@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .context_graph import AffectSnapshot
 from .harmonic_context import ResourceMatrix
 from .osc_gateway import THEME_IDS
-from .render import BEATS_PER_MEASURE, MEASURE_TICKS, TICKS_PER_CELL, TICKS_PER_QUARTER
+from .render import BEATS_PER_MEASURE, MEASURE_TICKS, MIDI_MAX, TICKS_PER_CELL, TICKS_PER_QUARTER
 from .xcs import XcsPopulation
 
 # key mode -> scale degrees above the tonic
@@ -29,6 +29,7 @@ STYLE_RANGE_FACTORS = {"jazz": 1.0, "pop": 0.8, "rock": 0.8, "folk": 0.7}
 DEFAULT_REWARD_GATE = 0.6
 DEFAULT_H_MIN = 0.5
 TRANSPOSITION_LIMIT = 24
+THEME_BITS = (THEME_IDS - 1).bit_length()  # of the theme id in the classifier input
 MAX_FRAGMENT_MEASURES = 4
 
 
@@ -48,12 +49,12 @@ class Note:
     velocity: int = 96
 
     def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise MelodyError(f"pitch {self.pitch} outside 0..127")
+        if not 0 <= self.pitch <= MIDI_MAX:
+            raise MelodyError(f"pitch {self.pitch} outside 0..{MIDI_MAX}")
         if self.duration <= 0:
             raise MelodyError("duration must be positive")
-        if not 1 <= self.velocity <= 127:
-            raise MelodyError(f"velocity {self.velocity} outside 1..127")
+        if not 1 <= self.velocity <= MIDI_MAX:
+            raise MelodyError(f"velocity {self.velocity} outside 1..{MIDI_MAX}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def _scale_time(fragment: MelodicFragment, factor: float) -> MelodicFragment:
 
 def _invert(fragment: MelodicFragment) -> MelodicFragment:
     anchor = fragment.notes[0].pitch
-    notes = tuple(replace(n, pitch=min(127, max(0, anchor - (n.pitch - anchor))))
+    notes = tuple(replace(n, pitch=min(MIDI_MAX, max(0, anchor - (n.pitch - anchor))))
                   for n in fragment.notes)
     return replace(fragment, notes=notes)
 
@@ -210,12 +211,13 @@ def reward(snapshot: AffectSnapshot, features: FragmentFeatures) -> float:
 
 
 def encode_environment(snapshot: AffectSnapshot, theme_id: int) -> str:
-    """Canonical-order affect bins (2 bits each) plus a 6-bit theme id."""
+    """Canonical-order affect bins (2 bits each) plus the theme id in
+    THEME_BITS bits."""
     if not 0 <= theme_id < THEME_IDS:
-        raise MelodyError(f"theme id {theme_id} does not fit 6 bits")
+        raise MelodyError(f"theme id {theme_id} does not fit {THEME_BITS} bits")
     bits = ["00" if level < 25 else "01" if level < 50 else "10" if level < 75 else "11"
             for level in snapshot]
-    return "".join(bits) + format(theme_id, "06b")
+    return "".join(bits) + format(theme_id, f"0{THEME_BITS}b")
 
 
 def style_score(features: FragmentFeatures, style: str, n_agents: int) -> float:
@@ -254,11 +256,12 @@ class RangeConstraint:
     no placement it allows leaves that range.  Bounds may cross (min above
     max): then nothing is allowed."""
     min_pitch: int = 0
-    max_pitch: int = 127
+    max_pitch: int = MIDI_MAX
 
     def __post_init__(self):
-        if not (0 <= self.min_pitch <= 127 and 0 <= self.max_pitch <= 127):
-            raise MelodyError(f"pitch bounds {self.min_pitch}..{self.max_pitch} outside 0..127")
+        if not (0 <= self.min_pitch <= MIDI_MAX and 0 <= self.max_pitch <= MIDI_MAX):
+            raise MelodyError(
+                f"pitch bounds {self.min_pitch}..{self.max_pitch} outside 0..{MIDI_MAX}")
 
     def allows(self, lo: int, hi: int) -> bool:
         return self.min_pitch <= lo and hi <= self.max_pitch
@@ -455,7 +458,7 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
         if rng.random() < THEME_MUTATION_PROB:
             if rng.random() < 0.5:
                 delta = rng.choice([1, 2, 3, 4]) * rng.choice([-1, 1])
-                pitch = min(127, max(0, n.pitch + delta))
+                pitch = min(MIDI_MAX, max(0, n.pitch + delta))
                 n = replace(n, pitch=pitch)
             else:
                 factor = rng.choice([0.5, 2.0])

@@ -13,6 +13,7 @@ MEASURE_TICKS = BEATS_PER_MEASURE * TICKS_PER_QUARTER
 TICKS_PER_CELL = TICKS_PER_QUARTER // 4  # sixteenth-note cells
 BLOCK_MEASURES = 2  # one composition cycle and one percussion phrase
 BLOCK_TICKS = BLOCK_MEASURES * MEASURE_TICKS
+MIDI_MAX = 127  # the largest 7-bit MIDI data value: pitch and velocity
 
 PERCUSSION_CHANNEL = 9  # MIDI channel 10, zero-based
 # the slowest tempo an SMF set-tempo event holds: 24-bit microseconds per quarter

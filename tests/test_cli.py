@@ -58,7 +58,8 @@ def test_parse_trace_rejects_backwards_time():
         parse_trace(bad)
 
 
-@pytest.mark.parametrize("t_ms", ["true", "1.9", '"2000"', "1e20", "-1"])
+@pytest.mark.parametrize("t_ms", ["true", "1.9", '"2000"', "1e20", "-1",
+                                  "86400001", "100000000000000000000"])
 def test_parse_trace_t_ms_is_a_json_integer_at_least_zero(t_ms):
     with pytest.raises(TraceError, match=r"^t\.jsonl:2: t_ms must be an integer >= 0"):
         parse_trace('{"t_ms": 0, "type": "affect", "category": "threat", "level": 1}\n'
@@ -217,7 +218,7 @@ def test_serve_bad_duration_exits_usage_before_binding(value, monkeypatch, capsy
     assert ports == []
 
 
-@pytest.mark.parametrize("value", ["0", "-5000", "1.5", "x"])
+@pytest.mark.parametrize("value", ["0", "-5000", "1.5", "x", "86400001"])
 def test_replay_bad_duration_exits_usage(value, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     trace.write_text(TRACE)

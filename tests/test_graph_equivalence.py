@@ -364,6 +364,15 @@ PRUNE_MOVES_EXPLICIT = (hot("a", "b", level=51.0)
                         + [30, SetEdge("c", "d", 0.5), 30, 30, 30,
                            ActivateConcept("c", "object", 40.0, "set"), 30,
                            ActivateConcept("d", "object", 80.0, "set"), 30])
+# a, b and c are hot for one tick, inferring a-b, a-c and b-c in slots 0-2;
+# the explicit d-e edge then takes slot 0, moving a-b to the end, and
+# carries d's activation once all three inferred edges are pruned
+EXPLICIT_AMONG_INFERRED = (hot("a", "b", "c", level=51.0)
+                           + [30, SetEdge("d", "e", 0.5), 30, 30, 30,
+                              ActivateConcept("d", "object", 80.0, "set"), 30])
+# the same three inferred edges; b-c, in slot 2, is made explicit and
+# swaps with a-b in slot 0, which is then pruned with a-c
+PROMOTE_INFERRED = hot("a", "b", "c", level=51.0) + [30, SetEdge("c", "b", 0.2), 30, 30, 30]
 
 # two themed objects at the same distance: the smaller id pops first,
 # whatever the insertion order
@@ -379,6 +388,8 @@ NEAREST_TIES = [AssignTheme("e", 1), AssignTheme("b", 2), AssignTheme("d", 3),
 @example(NO_FADE, NEAREST_TIES)
 @example(NO_FADE, NEGATIVE_ZERO_OFFER)
 @example(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
+@example(FAST_EDGE_FADE, EXPLICIT_AMONG_INFERRED)
+@example(FAST_EDGE_FADE, PROMOTE_INFERRED)
 @given(PARAMS, st.lists(OPS, max_size=40))
 def test_array_graph_matches_reference(params, ops):
     run_both(params, ops)
@@ -411,6 +422,14 @@ def test_examples_reach_the_cases_they_name():
     reference = run_both(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
     assert reference.pruned == 1 and list(reference.edges) == [("c", "d")]
     assert reference.taken[("c", "d")] >= 1 and reference.taken[("d", "c")] >= 1
+
+    reference = run_both(FAST_EDGE_FADE, EXPLICIT_AMONG_INFERRED)
+    assert reference.pruned == 3 and list(reference.edges) == [("d", "e")]
+    assert reference.taken[("d", "e")] >= 1
+
+    reference = run_both(FAST_EDGE_FADE, PROMOTE_INFERRED)
+    assert reference.pruned == 2
+    assert reference.edges == {("b", "c"): _Edge("b", "c", 0.2, True)}
 
 
 @pytest.mark.parametrize("name", ["a", "missing"])

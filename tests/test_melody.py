@@ -15,6 +15,7 @@ from ams.melody import (
     Key,
     MelodicFragment,
     MelodyAgent,
+    OPERATORS,
     MelodyError,
     Note,
     OperatorError,
@@ -32,7 +33,8 @@ from ams.melody import (
 )
 from ams.render import MEASURE_TICKS, TICKS_PER_CELL
 from ams.themes import load_themes
-from ams.xcs import XcsParams, XcsPopulation
+from ams.osc_gateway import THEME_IDS
+from ams.xcs import CONDITION_LENGTH, N_ACTIONS, XcsParams, XcsPopulation
 
 KEY = Key(0, "major")
 
@@ -147,6 +149,12 @@ def test_encoding_length_and_theme_bits():
     assert encode_environment(snap, 63) == "0" * 12 + "111111"
     with pytest.raises(Exception):
         encode_environment(snap, 64)
+
+
+def test_encoding_is_the_classifier_input_and_operators_are_its_actions():
+    for theme_id in (0, THEME_IDS - 1):
+        assert len(encode_environment(AffectSnapshot(), theme_id)) == CONDITION_LENGTH
+    assert len(OPERATORS) == N_ACTIONS
 
 
 @settings(max_examples=100, deadline=None)
