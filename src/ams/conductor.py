@@ -117,13 +117,13 @@ class Engine:
         checked once, in vertex insertion order; one themed by a message
         first is never checked."""
         graph = self.graph
-        if not self._unthemed and len(graph.vertices) == self._vertices_seen:
+        if not self._unthemed and len(graph.ids) == self._vertices_seen:
             return
-        for vid in graph.vertex_ids(self._vertices_seen):
+        for vid in graph.ids[self._vertices_seen:]:
             vertex = graph.vertices[vid]
             if vertex.kind is VertexKind.OBJECT and vertex.theme is None:
                 self._unthemed.append(vid)
-        self._vertices_seen = len(graph.vertices)
+        self._vertices_seen = len(graph.ids)
         waiting = []
         for vid in self._unthemed:
             # degree first: it is cheaper than the snapshot, and an object
@@ -337,13 +337,15 @@ class Engine:
         block_ms = self.config.block_ms
         n_blocks = -(-duration_ms // block_ms)
         put = self.queue.put
-        while self.time_ms < duration_ms:
+        graph = self.graph
+        # only tick() advances the clock, so one read serves the iteration
+        while (now := graph.clock) < duration_ms:
             if message_feed is not None:
-                for msg in message_feed(self.time_ms):
+                for msg in message_feed(now):
                     put(msg)
             # compose every block whose lead-in deadline has passed
             while (self.cycle_index < n_blocks
-                   and (self.cycle_index - 1) * block_ms <= self.time_ms):
+                   and (self.cycle_index - 1) * block_ms <= now):
                 record = self.compose_block()
                 if on_block is not None:
                     on_block(record)

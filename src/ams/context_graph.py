@@ -135,8 +135,9 @@ class ConceptGraph:
     target vertex indices and the weight, each written to both directions
     at once; the number E of explicit edges, which hold slots 0..E-1, the
     inferred edges holding the rest; edge keys only in the key -> slot map,
-    in creation order.  `vertices` (id -> Vertex, in index order) and
-    `edges` (sorted endpoint pair -> Edge, in creation order) are read-only
+    in creation order.  `ids` (the vertex ids in index order) is a
+    read-only list; `vertices` (id -> Vertex, in index order) and `edges`
+    (sorted endpoint pair -> Edge, in creation order) are read-only
     mappings whose values are snapshots as of their lookup; the graph
     changes only through `apply_message` and `tick`.
     """
@@ -145,7 +146,7 @@ class ConceptGraph:
         self.params = params or GraphParams()
         self.clock = 0  # ms
         # per vertex index
-        self._ids: list[str] = []
+        self.ids: list[str] = []
         self._index: dict[str, int] = {}
         self._kinds: list[VertexKind] = []
         self._last_activated: list[int] = []
@@ -172,11 +173,11 @@ class ConceptGraph:
     # -- structure ----------------------------------------------------------
 
     def _add_vertex(self, vid: str, kind: VertexKind) -> int:
-        index = len(self._ids)
+        index = len(self.ids)
         if index == len(self._activation):
             self._activation = _grown(self._activation)
             self._themes = _grown(self._themes, -1)
-        self._ids.append(vid)
+        self.ids.append(vid)
         self._index[vid] = index
         self._kinds.append(kind)
         self._last_activated.append(0)
@@ -218,7 +219,7 @@ class ConceptGraph:
 
     def _place(self, ia: int, ib: int, slot: int, weight: float) -> None:
         """Write edge (ids[ia], ids[ib]), a sorted key, into `slot`."""
-        self._slots[(self._ids[ia], self._ids[ib])] = slot
+        self._slots[(self.ids[ia], self.ids[ib])] = slot
         d = 2 * slot
         self._sources[d] = self._targets[d + 1] = ia
         self._sources[d + 1] = self._targets[d] = ib
@@ -257,11 +258,6 @@ class ConceptGraph:
         index = self._index.get(concept)
         return 0 if index is None else len(self._adjacency[index])
 
-    def vertex_ids(self, start: int = 0) -> list[str]:
-        """Vertex ids in index order (insertion order, affect vertices
-        first), from index `start` on."""
-        return self._ids[start:]
-
     # -- message application ------------------------------------------------
 
     def apply_message(self, msg: GameMessage) -> None:
@@ -281,11 +277,11 @@ class ConceptGraph:
                 raise GraphError(f"self-loop on {msg.a!r}")
             a = self._ensure_concept(msg.a, VertexKind.OBJECT)
             b = self._ensure_concept(msg.b, VertexKind.OBJECT)
-            self._set_edge(self._ids[a], self._ids[b], msg.weight, explicit=True)
+            self._set_edge(self.ids[a], self.ids[b], msg.weight, explicit=True)
         elif isinstance(msg, AssignTheme):
             index = self._ensure_concept(msg.concept, VertexKind.OBJECT)
             if self._kinds[index] is not VertexKind.OBJECT:
-                raise GraphError(f"theme assigned to non-object vertex {self._ids[index]!r}")
+                raise GraphError(f"theme assigned to non-object vertex {self.ids[index]!r}")
             self._themes[index] = msg.theme_id
         else:
             raise GraphError(f"unknown message {msg!r}")
@@ -317,7 +313,7 @@ class ConceptGraph:
         state without a copy of it."""
         if dt_ms <= 0:
             raise GraphError("dt_ms must be positive")
-        activation = self._activation[:len(self._ids)]
+        activation = self._activation[:len(self.ids)]
         n = 2 * len(self._slots)
         offers = activation[self._sources[:n]] * self._weights[:n]
         self._infer_edges(activation)
@@ -337,7 +333,7 @@ class ConceptGraph:
             if weights.item(weights.argmin()) < EDGE_REMOVAL_THRESHOLD:
                 doomed = (weights[::2] < EDGE_REMOVAL_THRESHOLD).nonzero()[0] + explicit
                 # every key before the first removal, which moves the last slot
-                ids, sources = self._ids, self._sources
+                ids, sources = self.ids, self._sources
                 for key in [(ids[sources.item(2 * slot)], ids[sources.item(2 * slot + 1)])
                             for slot in doomed.tolist()]:
                     self._remove_edge(key)
@@ -362,7 +358,7 @@ class ConceptGraph:
                 for j in hot[n + 1:]:
                     slot = neighbours.get(j)
                     if slot is None:
-                        self._set_edge(self._ids[i], self._ids[j],
+                        self._set_edge(self.ids[i], self.ids[j],
                                        self.params.inferred_edge_weight, explicit=False)
                     elif slot >= self._n_explicit:
                         directed += (2 * slot, 2 * slot + 1)
@@ -382,14 +378,14 @@ class ConceptGraph:
     def dominant_theme(self) -> tuple[int, str] | None:
         """Theme of the most activated themed object; ties broken by recency,
         then lexicographic id.  None when no themed object is active."""
-        n = len(self._ids)
+        n = len(self.ids)
         activation = np.where(self._themes[:n] >= 0, self._activation[:n], 0.0)
         top = activation.max()
         if not top > 0.0:
             return None
         tied = np.flatnonzero(activation == top).tolist()
-        best = min(tied, key=lambda i: (-self._last_activated[i], self._ids[i]))
-        return self._themes.item(best), self._ids[best]
+        best = min(tied, key=lambda i: (-self._last_activated[i], self.ids[i]))
+        return self._themes.item(best), self.ids[best]
 
     def nearest_themed(self, concept: str, k: int) -> list[int]:
         """Themes of the k nearest themed objects by Dijkstra with per-edge
@@ -401,7 +397,7 @@ class ConceptGraph:
             raise GraphError(f"unknown concept {concept!r}")
         if k < 1:
             raise GraphError("k must be >= 1")
-        ids, themes, weights = self._ids, self._themes, self._weights
+        ids, themes, weights = self.ids, self._themes, self._weights
         dist = {source: 0.0}
         heap: list[tuple[float, str, int]] = [(0.0, concept, source)]
         visited: set[int] = set()
@@ -428,7 +424,7 @@ class ConceptGraph:
     def dump(self) -> str:
         """Line-oriented debug dump with stable ordering for golden tests."""
         lines = []
-        for vid in sorted(self._ids):
+        for vid in sorted(self.ids):
             v = self.vertices[vid]
             theme = "-" if v.theme is None else str(v.theme)
             lines.append(f"vertex {vid} kind={v.kind.value} act={v.activation:.6f} theme={theme}")

@@ -6,6 +6,12 @@ error and relative-accuracy fitness; a niche genetic algorithm runs on
 action sets with subsumption, and deletion keeps total numerosity under a
 population cap.
 
+A classifier's condition string is compiled to two integers when the
+classifier is built: `care`, with a 1 at every specified ("0" or "1")
+position, and `value`, the specified bits.  An input x (the bit string
+read as a binary number, first symbol most significant) matches when
+`x & care == value`, and generality is compared by mask arithmetic.
+
 Unlike Butz & Wilson (2001): (a) `update` moves the error before the
 prediction, so the error reads the prediction from before the update;
 (b) there is no MAM averaging, the rate is beta from the first update on;
@@ -17,7 +23,7 @@ input's bit; (e) parents are chosen by tournament, not roulette wheel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 CONDITION_LENGTH = 18
 WILDCARD = "#"
@@ -78,19 +84,23 @@ class Classifier:
     numerosity: int = 1
     action_set_size: float = 1.0
     ga_timestamp: int = 0
+    # the condition compiled at construction: care bits and their values
+    care: int = field(init=False, repr=False, compare=False)
+    value: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.care = int(self.condition.replace("0", "1").replace(WILDCARD, "0"), 2)
+        self.value = int(self.condition.replace(WILDCARD, "0"), 2)
 
     def matches(self, bits: str) -> bool:
-        return all(c == WILDCARD or c == b for c, b in zip(self.condition, bits))
+        return int(bits, 2) & self.care == self.value
 
     def is_more_general(self, other: "Classifier") -> bool:
-        more_wildcards = False
-        for mine, theirs in zip(self.condition, other.condition):
-            if mine != WILDCARD:
-                if mine != theirs:
-                    return False
-            elif theirs != WILDCARD:
-                more_wildcards = True
-        return more_wildcards
+        """This matches every input `other` matches, and has more
+        wildcards."""
+        care = self.care
+        return (care & ~other.care == 0 and other.value & care == self.value
+                and care != other.care)
 
 
 class XcsPopulation:
@@ -120,8 +130,9 @@ class XcsPopulation:
         """All classifiers matching the input, covering missing actions until
         all N_ACTIONS are present."""
         self._validate_input(bits)
+        x = int(bits, 2)
         self.time += 1
-        matches = [cl for cl in self.classifiers if cl.matches(bits)]
+        matches = [cl for cl in self.classifiers if x & cl.care == cl.value]
         while len({cl.action for cl in matches}) < N_ACTIONS:
             covered = {cl.action for cl in matches}
             missing = [a for a in range(N_ACTIONS) if a not in covered]
@@ -139,7 +150,7 @@ class XcsPopulation:
             )
             self._insert(cl)
             self._enforce_cap()
-            matches = [cl for cl in self.classifiers if cl.matches(bits)]
+            matches = [cl for cl in self.classifiers if x & cl.care == cl.value]
         return matches
 
     # -- action selection ---------------------------------------------------

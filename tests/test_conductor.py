@@ -135,6 +135,34 @@ def test_run_composes_ahead_of_playback():
     assert engine.cycle_index == 3
 
 
+def test_run_calls_tick_and_compose_block_through_the_instance():
+    # timing wrappers installed on the instance see every tick and block,
+    # and the feed is asked at each tick's start time before the tick runs
+    engine = make_engine()
+    tick, compose_block = engine.tick, engine.compose_block
+    tick_starts, feed_times, blocks = [], [], []
+
+    def counted_tick():
+        tick_starts.append(engine.time_ms)
+        tick()
+
+    def counted_compose_block():
+        blocks.append(engine.cycle_index)
+        return compose_block()
+
+    def feed(t_ms):
+        feed_times.append(t_ms)
+        return []
+
+    engine.tick, engine.compose_block = counted_tick, counted_compose_block
+    tick_ms, duration_ms = engine.config.tick_ms, 9_000
+    engine.run(duration_ms, message_feed=feed)
+    assert duration_ms % tick_ms == 0
+    assert tick_starts == list(range(0, duration_ms, tick_ms))
+    assert feed_times == tick_starts
+    assert blocks == [0, 1, 2]  # 9 s at 4 s blocks
+
+
 def test_default_theme_when_graph_silent():
     engine = make_engine(default_theme=5)
     record = engine.compose_block()

@@ -79,18 +79,18 @@ def test_no_affect_affect_edges():
 @pytest.mark.parametrize("a, b", [("lamp", "lamp"), ("Threat", "threat")])
 def test_rejected_self_loop_adds_no_vertex(a, b):
     g = ConceptGraph()
-    before = g.vertex_ids()
+    before = list(g.ids)
     with pytest.raises(GraphError, match="self-loop"):
         g.apply_message(SetEdge(a, b, 0.5))
-    assert g.vertex_ids() == before
+    assert g.ids == before
     assert len(g.edges) == 0
 
 
 def test_activating_an_affect_name_sets_the_affect_whatever_the_kind():
     g = ConceptGraph()
-    before = g.vertex_ids()
+    before = list(g.ids)
     g.apply_message(ActivateConcept("Happiness", "environment", 55.0, "set"))
-    assert g.vertex_ids() == before
+    assert g.ids == before
     assert g.vertices["happiness"].kind is VertexKind.AFFECT
     assert g.affect_snapshot().happiness == 55.0
     # an existing vertex keeps its kind too

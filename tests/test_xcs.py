@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ams.xcs import Classifier, XcsError, XcsParams, XcsPopulation
+from ams.xcs import CONDITION_LENGTH, Classifier, XcsError, XcsParams, XcsPopulation
 
 BITS = "010010110001000011"
 
@@ -34,6 +36,95 @@ def test_input_validation():
         pop.match_set("01")
     with pytest.raises(XcsError):
         pop.match_set("2" * 18)
+
+
+@pytest.mark.parametrize("bits", [
+    "0b" + BITS[2:],                # a base prefix
+    "+" + BITS[1:],                 # a sign
+    BITS[:8] + "_" + BITS[9:],      # a digit separator
+    " " + BITS[1:],                 # surrounding whitespace
+    BITS[:17] + "\t",
+    "\u0661" * CONDITION_LENGTH,    # ARABIC-INDIC DIGIT ONE
+    BITS[:5] + "\u0660" + BITS[6:],  # ARABIC-INDIC DIGIT ZERO
+    BITS + "\n",                    # 19 characters
+])
+def test_input_validation_precedes_parsing(bits):
+    int(bits, 2)  # each is a number to int(), but not an input
+    pop = make_pop()
+    with pytest.raises(XcsError):
+        pop.match_set(bits)
+    assert pop.classifiers == [] and pop.time == 0
+
+
+# the symbol-by-symbol forms the bit masks replace
+def reference_matches(condition: str, bits: str) -> bool:
+    return all(c == "#" or c == b for c, b in zip(condition, bits))
+
+
+def reference_is_more_general(general: str, specific: str) -> bool:
+    more_wildcards = False
+    for mine, theirs in zip(general, specific):
+        if mine != "#":
+            if mine != theirs:
+                return False
+        elif theirs != "#":
+            more_wildcards = True
+    return more_wildcards
+
+
+inputs = st.text("01", min_size=CONDITION_LENGTH, max_size=CONDITION_LENGTH)
+conditions = st.text("01#", min_size=CONDITION_LENGTH, max_size=CONDITION_LENGTH)
+
+
+def changed_at(draw, symbols: list[str]) -> str:
+    """`symbols` with a different symbol at up to two drawn positions."""
+    for i in draw(st.sets(st.integers(0, CONDITION_LENGTH - 1), max_size=2)):
+        symbols[i] = draw(st.sampled_from([c for c in "01#" if c != symbols[i]]))
+    return "".join(symbols)
+
+
+@st.composite
+def matching(draw, bits: str) -> str:
+    """A condition that matches `bits` unless a drawn position changed."""
+    return changed_at(draw, [draw(st.sampled_from([b, "#"])) for b in bits])
+
+
+@st.composite
+def specialised(draw, condition: str) -> str:
+    """A condition `condition` is more general than, or equal to, unless a
+    drawn position changed."""
+    return changed_at(draw, [draw(st.sampled_from("#01")) if c == "#" else c
+                             for c in condition])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), inputs)
+def test_masks_match_as_the_symbols_do(data, bits):
+    condition = data.draw(st.one_of(conditions, matching(bits)))
+    cl = Classifier(condition, 0, 0.0, 0.0, 0.0)
+    assert cl.matches(bits) == reference_matches(condition, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), conditions)
+def test_masks_order_generality_as_the_symbols_do(data, a):
+    b = data.draw(st.one_of(conditions, specialised(a)))
+    ca, cb = Classifier(a, 0, 0.0, 0.0, 0.0), Classifier(b, 0, 0.0, 0.0, 0.0)
+    assert ca.is_more_general(cb) == reference_is_more_general(a, b)
+    assert cb.is_more_general(ca) == reference_is_more_general(b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), inputs)
+def test_match_set_is_the_symbolwise_filter(data, bits):
+    drawn = data.draw(st.lists(st.tuples(st.one_of(conditions, matching(bits)),
+                                         st.integers(0, 7)), max_size=40))
+    pop = make_pop()
+    pop.classifiers = [Classifier(c, a, 0.0, 0.0, 0.0) for c, a in drawn]
+    match = pop.match_set(bits)
+    # covering may add classifiers; the filter runs over the final population
+    expected = [cl for cl in pop.classifiers if reference_matches(cl.condition, bits)]
+    assert [id(cl) for cl in match] == [id(cl) for cl in expected]
 
 
 def test_widrow_hoff_update_math():
