@@ -331,18 +331,22 @@ class Engine:
         message_feed(t_ms) is called before each tick; it returns the
         GameMessages due at or before t_ms.  A trace feed returns them at
         once; a live feed returns none and waits for wall time, so it paces
-        the run.  Without a feed the run goes as fast as possible.
-        Composition happens one block ahead of playback.
+        the run.  Without a feed the run goes as fast as possible.  Feed
+        messages are ingested early rather than overflow the queue, and then
+        reach this tick's composition.  Composition happens one block ahead
+        of playback.
         """
         block_ms = self.config.block_ms
         n_blocks = -(-duration_ms // block_ms)
-        put = self.queue.put
+        queue = self.queue
         graph = self.graph
         # only tick() advances the clock, so one read serves the iteration
         while (now := graph.clock) < duration_ms:
             if message_feed is not None:
                 for msg in message_feed(now):
-                    put(msg)
+                    if len(queue) >= queue.capacity:
+                        self.ingest()
+                    queue.put(msg)
             # compose every block whose lead-in deadline has passed
             while (self.cycle_index < n_blocks
                    and (self.cycle_index - 1) * block_ms <= now):

@@ -29,20 +29,15 @@ class HarmonyError(ValueError):
 
 
 class ResourceMatrix:
-    """12 x T grid of harmonic resource values in [0, 1].
-
-    The window spans two blocks and slides by one block on each extend;
-    the last block (the "active region") is where new phrases land; tick 0
-    of a phrase is the region's first cell.
-    """
+    """12 x region_cells grid of harmonic resource values in [0, 1]: the
+    active block, where phrases land from its first cell on.  Each extend
+    replaces it with the next block, carrying over its own last column."""
 
     cells_per_measure = MEASURE_TICKS // TICKS_PER_CELL
     region_cells = BLOCK_MEASURES * cells_per_measure
-    region_start = region_cells  # after the previous block
-    columns = region_start + region_cells
 
     def __init__(self):
-        self.cells = np.full((12, self.columns), INITIAL_VALUE)
+        self.cells = np.full((12, self.region_cells), INITIAL_VALUE)
 
     def copy(self) -> "ResourceMatrix":
         clone = ResourceMatrix()
@@ -52,8 +47,8 @@ class ResourceMatrix:
     # -- extension ----------------------------------------------------------
 
     def extend(self, chords: list[ChordSymbol]) -> None:
-        """Slide the window by one block and fill the new columns from the
-        given chords, one per measure (BLOCK_MEASURES of them)."""
+        """Fill the next block from the given chords, one per measure
+        (BLOCK_MEASURES of them), carrying over this block's last column."""
         if len(chords) != BLOCK_MEASURES:
             raise HarmonyError(f"extend takes {BLOCK_MEASURES} chords, one per measure, "
                                f"got {len(chords)}")
@@ -61,35 +56,29 @@ class ResourceMatrix:
             if not isinstance(chord, ChordSymbol):
                 raise HarmonyError(f"not a chord symbol: {chord!r}")
 
-        slide = self.region_cells
-        self.cells[:, :-slide] = self.cells[:, slide:]
-
         # clipping is idempotent, so every column of a measure equals its first
         width = self.cells_per_measure
-        col = self.region_start
-        column = self.cells[:, col - 1]
-        for chord in chords:
+        column = self.cells[:, -1]
+        for col, chord in zip(range(0, self.region_cells, width), chords):
             column = np.clip(column, 0.0, CARRYOVER_CLAMP)
             for tone in chord.tones:
                 column[tone] = CHORD_TONE_VALUE
             column[chord.root] = ROOT_VALUE
             self.cells[:, col:col + width] = column[:, None]
-            col += width
 
     # -- phrase geometry ----------------------------------------------------
 
     def fragment_cells(self, fragment: MelodicFragment) -> tuple[np.ndarray, np.ndarray]:
-        """(pitch-class rows, absolute columns) for every cell the phrase's
-        notes inhabit, at their own pitches and onsets."""
+        """(pitch-class rows, columns) for every cell the phrase's notes
+        inhabit, at their own pitches and onsets."""
         rows: list[int] = []
         cols: list[int] = []
         for note in fragment.notes:
-            start = self.region_start + note.onset // TICKS_PER_CELL
-            end = self.region_start - (-(note.onset + note.duration) // TICKS_PER_CELL)
-            if start < self.region_start or end > self.columns:
-                raise HarmonyError(
-                    f"note cells [{start}, {end}) outside active region "
-                    f"[{self.region_start}, {self.columns})")
+            start = note.onset // TICKS_PER_CELL
+            end = -(-(note.onset + note.duration) // TICKS_PER_CELL)
+            if start < 0 or end > self.region_cells:
+                raise HarmonyError(f"note cells [{start}, {end}) outside the block's "
+                                   f"[0, {self.region_cells})")
             rows += [note.pitch % 12] * (end - start)
             cols += range(start, end)
         if not rows:

@@ -128,27 +128,20 @@ def _invert(fragment: MelodicFragment) -> MelodicFragment:
     return replace(fragment, notes=notes)
 
 
-def _diminish(fragment: MelodicFragment) -> MelodicFragment:
-    return _scale_time(fragment, 0.5)
-
-
-def _augment(fragment: MelodicFragment) -> MelodicFragment:
-    return _scale_time(fragment, 2.0)
-
-
-# the eight melody operators, by index; compound names compose right to
-# left (reverse-diminish diminishes first, then reverses)
+# the eight melody operators, by index: (name, time factor or None, reshape
+# or None).  Each scales time, then reshapes; only the scaling can fail, as
+# reverse and invert never fail on a non-empty fragment
 OPERATORS = (
-    ("reverse", _reverse),
-    ("diminish", _diminish),
-    ("augment", _augment),
-    ("invert", _invert),
-    ("reverse-diminish", lambda f: _reverse(_diminish(f))),
-    ("reverse-augment", lambda f: _reverse(_augment(f))),
-    ("invert-diminish", lambda f: _invert(_diminish(f))),
-    ("invert-augment", lambda f: _invert(_augment(f))),
+    ("reverse", None, _reverse),
+    ("diminish", 0.5, None),
+    ("augment", 2.0, None),
+    ("invert", None, _invert),
+    ("reverse-diminish", 0.5, _reverse),
+    ("reverse-augment", 2.0, _reverse),
+    ("invert-diminish", 0.5, _invert),
+    ("invert-augment", 2.0, _invert),
 )
-OPERATOR_NAMES = tuple(name for name, _ in OPERATORS)
+OPERATOR_NAMES = tuple(name for name, _, _ in OPERATORS)
 
 
 def apply_operator(fragment: MelodicFragment, op: int) -> MelodicFragment:
@@ -157,7 +150,9 @@ def apply_operator(fragment: MelodicFragment, op: int) -> MelodicFragment:
         raise OperatorError("empty fragment")
     if not 0 <= op < len(OPERATORS):
         raise MelodyError(f"unknown operator {op}")
-    return OPERATORS[op][1](fragment)
+    _name, factor, reshape = OPERATORS[op]
+    scaled = fragment if factor is None else _scale_time(fragment, factor)
+    return scaled if reshape is None else reshape(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +341,9 @@ class MelodyAgent:
 
         Shifts ascend from 0 and, within each, allowed transpositions ascend;
         the first maximum wins (strict >), which byte-identical replays depend
-        on.  Returns (transposition, time shift, H, P), or None when no
-        placement meets the range constraint and the harmonic-fitness floor.
+        on.  Returns (transposition, time shift, H, P) of that placement, or
+        None when no placement meets the range constraint or that one's H is
+        below the fitness floor h_min, even if another placement's H meets it.
         """
         if not fragment.notes:
             return None
@@ -430,22 +426,30 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
                  rng: random.Random) -> MelodicFragment:
     """Breed a theme for an unthemed concept.
 
-    Pool = both parents plus every operator image of each; two pool members
-    are spliced at a random measure boundary, then each note independently
-    mutates pitch or rhythm with probability THEME_MUTATION_PROB.
+    Pool = both parents plus every operator image of each that succeeds;
+    two pool members are spliced at a random measure boundary, then each
+    note independently mutates pitch or rhythm with probability
+    THEME_MUTATION_PROB.  The pool holds (scaled parent, reshape) pairs, so
+    only the two members drawn are reshaped.
     """
     if not parent_a.notes or not parent_b.notes:
         raise MelodyError("empty parent theme")
-    pool = [parent_a, parent_b]
+    pool = [(parent_a, None), (parent_b, None)]
     for parent in (parent_a, parent_b):
-        for _name, operate in OPERATORS:
-            try:
-                pool.append(operate(parent))
-            except OperatorError:
-                continue
+        scaled = {None: parent}  # time factor -> scaling, None where it fails
+        for _name, factor, reshape in OPERATORS:
+            if factor not in scaled:
+                try:
+                    scaled[factor] = _scale_time(parent, factor)
+                except OperatorError:
+                    scaled[factor] = None
+            if scaled[factor] is not None:
+                pool.append((scaled[factor], reshape))
 
-    first = pool[rng.randrange(len(pool))]
-    second = pool[rng.randrange(len(pool))]
+    def draw() -> MelodicFragment:
+        source, reshape = pool[rng.randrange(len(pool))]
+        return source if reshape is None else reshape(source)
+    first, second = draw(), draw()
     boundary = rng.randrange(0, first.length_measures) * MEASURE_TICKS
     head = [n for n in first.notes if n.onset < boundary]
     tail = [n for n in second.notes if n.onset >= boundary]

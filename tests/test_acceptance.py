@@ -76,7 +76,7 @@ def test_02_fading_rates():
 def test_03_matrix_constants():
     m = ResourceMatrix()
     m.extend([parse_chord("C")] * 2)
-    region = m.cells[:, m.region_start:]
+    region = m.cells
     assert np.all(region[0] == 1.0)
     assert np.all(region[4] == 0.8) and np.all(region[7] == 0.8)
     for row in (1, 2, 3, 5, 6, 8, 9, 10, 11):
@@ -84,7 +84,7 @@ def test_03_matrix_constants():
 
     m2 = ResourceMatrix()
     m2.extend([parse_chord("C7"), parse_chord("E7")])
-    e7_cols = m2.cells[:, m2.region_start + m2.cells_per_measure:]
+    e7_cols = m2.cells[:, m2.cells_per_measure:]
     assert np.all(e7_cols[0] == 0.5)  # C carried over, clamped
     print("PASS 3: matrix constants (1.0/0.8/0.3 fill, 0.5 carryover clamp)")
 
@@ -94,7 +94,8 @@ def test_04_fitness_oracle():
     key = Key(0, "major")
     for _ in range(1000):
         m = ResourceMatrix()
-        m.cells = np.round(np.random.default_rng(rng.randrange(2**31)).random((12, 64)), 6)
+        cells = np.random.default_rng(rng.randrange(2**31)).random((12, m.region_cells))
+        m.cells = np.round(cells, 6)
         notes = []
         onset = 0
         for _ in range(rng.randrange(1, 7)):
@@ -119,7 +120,7 @@ def test_04_fitness_oracle():
             start = n.onset // TICKS_PER_CELL
             end = -(-(n.onset + n.duration) // TICKS_PER_CELL)
             for cell in range(start, end):
-                values.append(m.cells[pc, m.region_start + shift + cell])
+                values.append(m.cells[pc, shift + cell])
         assert abs(h - sum(values) / len(values)) < 1e-9
     print("PASS 4: harmonic fitness matches brute-force enumeration (1000 cases)")
 

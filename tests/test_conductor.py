@@ -163,6 +163,20 @@ def test_run_calls_tick_and_compose_block_through_the_instance():
     assert blocks == [0, 1, 2]  # 9 s at 4 s blocks
 
 
+def test_run_ingests_a_feed_larger_than_the_queue():
+    # 70,000 events due at one tick overflow the 65,536-message queue,
+    # which drops the oldest; the run ingests before a put would overflow
+    engine = make_engine()
+    n = 70_000
+    assert n > engine.queue.capacity
+    msgs = [ActivateConcept(f"o{i}", "object", 50.0, "set") for i in range(n)]
+    engine.run(engine.config.tick_ms, message_feed=lambda t_ms: msgs if t_ms == 0 else [])
+    assert engine.queue.dropped == 0
+    objects = [vid for vid in engine.graph.ids
+               if engine.graph.vertices[vid].kind is VertexKind.OBJECT]
+    assert objects == [f"o{i}" for i in range(n)]
+
+
 def test_default_theme_when_graph_silent():
     engine = make_engine(default_theme=5)
     record = engine.compose_block()

@@ -1,4 +1,4 @@
-"""Resource matrix: fill constants, sliding, scoring, consumption."""
+"""Resource matrix: fill constants, carry-over, scoring, consumption."""
 
 import numpy as np
 import pytest
@@ -26,30 +26,31 @@ def frag(notes):
 
 def test_initial_state():
     m = ResourceMatrix()
-    assert m.cells.shape == (12, 64)
+    assert m.cells.shape == (12, 32)
     assert np.all(m.cells == 0.3)
-    assert m.region_start == 32
 
 
 def test_extend_fills_and_slides():
     m = ResourceMatrix()
     m.extend([parse_chord("C")] * 2)
     m.extend([parse_chord("G")] * 2)
-    # C-maj columns slid into the history half
-    assert np.all(m.cells[0, :32] == 1.0)
-    # G-maj region: G row 1.0, B and D rows 0.8
-    assert np.all(m.cells[7, 32:] == 1.0)
-    assert np.all(m.cells[11, 32:] == 0.8)
-    assert np.all(m.cells[2, 32:] == 0.8)
+    # G-maj block: G row 1.0, B and D rows 0.8
+    assert np.all(m.cells[7] == 1.0)
+    assert np.all(m.cells[11] == 0.8)
+    assert np.all(m.cells[2] == 0.8)
+    # carried over from the C-maj block's last column, clamped: C and E
+    # (1.0 and 0.8) to 0.5, the rest stay 0.3
+    assert np.all(m.cells[[0, 4]] == 0.5)
+    assert np.all(m.cells[[1, 3, 5, 6, 8, 9, 10]] == 0.3)
 
 
 def test_carryover_clamp():
     m = ResourceMatrix()
     m.extend([parse_chord("C7"), parse_chord("E7")])
     # C was 1.0 under C7, clamps to 0.5 under E7's columns
-    assert np.all(m.cells[0, 48:] == 0.5)
-    assert np.all(m.cells[4, 48:] == 1.0)   # E7 root
-    assert np.all(m.cells[8, 48:] == 0.8)   # G# chord tone
+    assert np.all(m.cells[0, 16:] == 0.5)
+    assert np.all(m.cells[4, 16:] == 1.0)   # E7 root
+    assert np.all(m.cells[8, 16:] == 0.8)   # G# chord tone
 
 
 def test_extend_validates_measure_total():
@@ -70,7 +71,7 @@ def test_fragment_cells_cover_partial_cells():
                         ((62, 120, 120), [1])]:
         rows, cols = m.fragment_cells(frag([note]))
         assert rows.tolist() == [note[0] % 12] * len(cells)
-        assert cols.tolist() == [32 + cell for cell in cells]
+        assert cols.tolist() == cells
 
 
 def test_fitness_mean_of_two_equal_notes():
@@ -117,7 +118,7 @@ def test_consume_zeroes_and_halves_neighbors():
     m.extend([parse_chord("C")] * 2)
     f = frag([(60, 0, 480)])  # pitch class 0, cells 0..3 of the region
     m.consume(f)
-    cols = slice(32, 36)
+    cols = slice(0, 4)
     assert np.all(m.cells[0, cols] == 0.0)
     assert np.all(m.cells[1, cols] == 0.15)   # 0.3 halved
     assert np.all(m.cells[11, cols] == 0.15)
@@ -140,14 +141,14 @@ def test_copy_is_independent():
     m.extend([parse_chord("C")] * 2)
     clone = m.copy()
     clone.consume(frag([(60, 0, 480)]))
-    assert np.all(m.cells[0, 32:36] == 1.0)
+    assert np.all(m.cells[0, 0:4] == 1.0)
 
 
 def test_brute_force_oracle_small():
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = ResourceMatrix()
-        m.cells = rng.random((12, 64))
+        m.cells = rng.random((12, 32))
         f = frag([(60, 0, 480), (67, 480, 240), (64, 840, 960)])
         shift = int(rng.integers(0, 10))
         trans = int(rng.integers(-12, 12))
@@ -155,7 +156,7 @@ def test_brute_force_oracle_small():
         for n in f.notes:
             pc = (n.pitch + trans) % 12
             for cell in note_cells(n.onset, n.duration):
-                total += m.cells[pc, 32 + shift + cell]
+                total += m.cells[pc, shift + cell]
                 count += 1
         assert harmonic_fitness(m, f, trans, shift) == pytest.approx(
             total / count, abs=1e-12)
@@ -163,13 +164,13 @@ def test_brute_force_oracle_small():
 
 def reference_extend(matrix, chords):
     """The per-column fill that `extend` replaced: each new column is the
-    clipped previous column with the chord's tones and root set."""
-    slide = matrix.region_cells
-    matrix.cells[:, :-slide] = matrix.cells[:, slide:]
-    col = matrix.region_start
+    clipped previous column with the chord's tones and root set, and the
+    first one's previous column is the old block's last."""
+    column = matrix.cells[:, -1].copy()
+    col = 0
     for chord in chords:
         for _ in range(matrix.cells_per_measure):
-            column = np.clip(matrix.cells[:, col - 1], 0.0, CARRYOVER_CLAMP)
+            column = np.clip(column, 0.0, CARRYOVER_CLAMP)
             for tone in chord.tones:
                 column[tone] = CHORD_TONE_VALUE
             column[chord.root] = ROOT_VALUE
@@ -205,7 +206,7 @@ def test_extend_and_consume_match_the_per_cell_loops(seed, steps):
     """Bitwise-equal cells after any sequence of extends and consumes,
     from arbitrary cell values (subnormals included, where halving rounds)."""
     ours, theirs = ResourceMatrix(), ResourceMatrix()
-    cells = np.random.default_rng(seed).random((12, ResourceMatrix.columns))
+    cells = np.random.default_rng(seed).random((12, ResourceMatrix.region_cells))
     cells[cells < 0.1] *= 1e-310
     ours.cells, theirs.cells = cells.copy(), cells.copy()
     for step in steps:

@@ -1,6 +1,7 @@
 """Melody operators, features, rewards, encoding, search and evolution."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,8 @@ from ams.config import ASSET_ROOT
 from ams.context_graph import AffectSnapshot
 from ams.harmonic_context import ResourceMatrix
 from ams.melody import (
+    MAX_FRAGMENT_MEASURES,
+    THEME_MUTATION_PROB,
     Abstention,
     Key,
     MelodicFragment,
@@ -30,8 +33,12 @@ from ams.melody import (
     placed_fragment,
     reward,
     style_score,
+    _invert,
+    _length_from_span,
+    _reverse,
+    _scale_time,
 )
-from ams.render import MEASURE_TICKS, TICKS_PER_CELL
+from ams.render import MIDI_MAX, MEASURE_TICKS, TICKS_PER_CELL, TICKS_PER_QUARTER
 from ams.themes import load_themes
 from ams.osc_gateway import THEME_IDS
 from ams.xcs import CONDITION_LENGTH, N_ACTIONS, XcsParams, XcsPopulation
@@ -224,6 +231,22 @@ def test_search_returns_none_below_h_min():
     assert a.search_placement(f, m, "folk", 1, RangeConstraint(0, 127)) is None
 
 
+def test_fitness_floor_is_checked_on_the_best_placement_only():
+    # jazz scores an off-beat start a point higher, so the argmax lands off
+    # the beat at H 0.3 and the floor rejects it, although the on-beat
+    # placements reach H 0.9
+    m = ResourceMatrix()
+    cells_per_beat = TICKS_PER_QUARTER // TICKS_PER_CELL
+    m.cells[:] = 0.3
+    m.cells[:, ::cells_per_beat] = 0.9
+    f = frag([(60, 0, 120)], measures=1)
+    assert m.fitness_by_transposition(f).max() == 0.9
+    assert agent(h_min=0.5).search_placement(f, m, "jazz", 1, RangeConstraint()) is None
+    _t, shift, h, p = agent(h_min=0.0).search_placement(f, m, "jazz", 1, RangeConstraint())
+    assert shift % cells_per_beat != 0
+    assert (h, p) == (0.3, 1.75)
+
+
 def test_propose_gate_abstains_without_update():
     m = ResourceMatrix()
     m.extend([parse_chord("C")] * 2)
@@ -336,3 +359,108 @@ def test_evolved_notes_lie_inside_the_evolved_theme(a, b, seed):
     child = evolve_theme(BUNDLED_THEMES[a], BUNDLED_THEMES[b], random.Random(seed))
     end = child.length_measures * MEASURE_TICKS
     assert all(0 <= n.onset and n.onset + n.duration <= end for n in child.notes)
+
+
+# the operators as composed before each became a (name, time factor,
+# reshape) row, and the evolution that built every operator image of both
+# parents before drawing two
+REFERENCE_OPERATORS = (
+    _reverse,
+    lambda f: _scale_time(f, 0.5),
+    lambda f: _scale_time(f, 2.0),
+    _invert,
+    lambda f: _reverse(_scale_time(f, 0.5)),
+    lambda f: _reverse(_scale_time(f, 2.0)),
+    lambda f: _invert(_scale_time(f, 0.5)),
+    lambda f: _invert(_scale_time(f, 2.0)),
+)
+
+
+def reference_evolve_theme(parent_a, parent_b, rng):
+    pool = [parent_a, parent_b]
+    for parent in (parent_a, parent_b):
+        for operate in REFERENCE_OPERATORS:
+            try:
+                pool.append(operate(parent))
+            except OperatorError:
+                continue
+
+    first = pool[rng.randrange(len(pool))]
+    second = pool[rng.randrange(len(pool))]
+    boundary = rng.randrange(0, first.length_measures) * MEASURE_TICKS
+    notes = [n for n in first.notes if n.onset < boundary]
+    notes += [n for n in second.notes if n.onset >= boundary]
+    if not notes:
+        notes = list(first.notes)
+
+    mutated = []
+    for n in notes:
+        if rng.random() < THEME_MUTATION_PROB:
+            if rng.random() < 0.5:
+                delta = rng.choice([1, 2, 3, 4]) * rng.choice([-1, 1])
+                n = replace(n, pitch=min(MIDI_MAX, max(0, n.pitch + delta)))
+            else:
+                factor = rng.choice([0.5, 2.0])
+                n = replace(n, duration=max(1, int(round(n.duration * factor))))
+        mutated.append(n)
+
+    cap = MAX_FRAGMENT_MEASURES * MEASURE_TICKS
+    mutated = [n if n.onset + n.duration <= cap else replace(n, duration=cap - n.onset)
+               for n in mutated if n.onset < cap]
+    if not mutated:
+        mutated = list(first.notes)
+    mutated.sort(key=lambda n: (n.onset, n.pitch))
+    length = _length_from_span(max(n.onset + n.duration for n in mutated), 1)
+    return MelodicFragment(tuple(mutated), length, first.key)
+
+
+@st.composite
+def parent_themes(draw):
+    """1-6 notes inside 1-4 measures; 1-tick notes make diminish fail, and
+    notes sounding past two measures make augment fail."""
+    measures = draw(st.integers(1, MAX_FRAGMENT_MEASURES))
+    end = measures * MEASURE_TICKS
+    notes = []
+    for _ in range(draw(st.integers(1, 6))):
+        onset = draw(st.integers(0, end - 1))
+        duration = draw(st.one_of(st.sampled_from([1, 60, 480, 1920]),
+                                  st.integers(1, end - onset)))
+        notes.append(Note(draw(st.integers(0, MIDI_MAX)), onset, min(duration, end - onset)))
+    notes.sort(key=lambda n: (n.onset, n.pitch))
+    return MelodicFragment(tuple(notes), measures, Key(draw(st.integers(0, 11)), "minor"))
+
+
+ONE_TICK = frag([(60, 0, 1), (64, 480, 480)], measures=1)
+PAST_TWO_MEASURES = frag([(60, 0, 480), (67, 3840, 960)], measures=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_themes(), parent_themes(), st.integers(0, 2**32 - 1))
+@example(ONE_TICK, PAST_TWO_MEASURES, 0)
+@example(PAST_TWO_MEASURES, ONE_TICK, 1)
+@example(ONE_TICK, ONE_TICK, 2)
+def test_operators_and_evolution_match_the_composed_eager_forms(a, b, seed):
+    """`apply_operator` gives what the composed operator gave, and
+    `evolve_theme`, which reshapes only the two members it draws, gives the
+    child and leaves the RNG where the eager pool of every image did."""
+    for op, operate in enumerate(REFERENCE_OPERATORS):
+        for parent in (a, b):
+            try:
+                expected = operate(parent)
+            except OperatorError:
+                with pytest.raises(OperatorError):
+                    apply_operator(parent, op)
+                continue
+            assert apply_operator(parent, op) == expected
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert evolve_theme(a, b, ours) == reference_evolve_theme(a, b, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_the_examples_make_the_scalings_fail():
+    with pytest.raises(OperatorError):
+        apply_operator(ONE_TICK, 1)  # diminish
+    apply_operator(ONE_TICK, 2)
+    with pytest.raises(OperatorError):
+        apply_operator(PAST_TWO_MEASURES, 2)  # augment
+    apply_operator(PAST_TWO_MEASURES, 1)

@@ -43,15 +43,15 @@ def note_cells(onset_ticks, duration_ticks):
 
 
 def reference_cells(matrix, fragment, transposition, shift):
-    """(pitch-class rows, absolute columns) for every cell the fragment
-    inhabits, transposed and shifted."""
+    """(pitch-class rows, columns) for every cell the fragment inhabits,
+    transposed and shifted."""
     rows: list[int] = []
     cols: list[int] = []
     for note in fragment.notes:
         pc = (note.pitch + transposition) % 12
         for cell in note_cells(note.onset, note.duration):
-            col = matrix.region_start + shift + cell
-            if col < matrix.region_start or col >= matrix.columns:
+            col = shift + cell
+            if col < 0 or col >= matrix.region_cells:
                 raise HarmonyError(f"placement cell {col} outside active region")
             rows.append(pc)
             cols.append(col)
@@ -138,7 +138,8 @@ def matrices(draw):
     matrix = ResourceMatrix()
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        matrix.cells = rng.random((12, matrix.columns)).round(draw(st.sampled_from([1, 2, 9])))
+        digits = draw(st.sampled_from([1, 2, 9]))
+        matrix.cells = rng.random((12, matrix.region_cells)).round(digits)
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             matrix.extend(draw(st.lists(st.sampled_from(CHORDS), min_size=2, max_size=2)))
