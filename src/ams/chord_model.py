@@ -288,7 +288,7 @@ class ChordSequenceModel:
             for ctx_keys, table in payload["counts"]:
                 ctx = tuple(_token_from_key(k) for k in ctx_keys)
                 model.counts[ctx] = {_token_from_key(k): n for k, n in table.items()}
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ChordError(f"{path}: malformed model body: {exc!r}") from None
         if not _is_count(model.order):
             raise ChordError(f"{path}: order must be an int >= 1, got {model.order!r}")

@@ -47,13 +47,16 @@ class TraceError(ValueError):
 
 # ---------------------------------------------------------------------------
 # trace files: one JSON object per line, non-decreasing t_ms; each event
-# obeys the OSC schema
+# obeys the OSC schema and has no key but t_ms, type and its type's fields
 
 
 def parse_trace_line(obj: dict) -> GameMessage:
     kind = MESSAGE_TYPES.get(obj.get("type"))
     if kind is None:
         raise TraceError(f"unknown event type {obj.get('type')!r}")
+    unknown = obj.keys() - {"t_ms", "type"} - {name for name, _, _ in kind.fields}
+    if unknown:
+        raise TraceError(f"unknown {kind.name} field {min(unknown)!r}")
     return kind.from_fields(obj)
 
 
@@ -68,7 +71,7 @@ def parse_trace(text: str, source: str = "<trace>") -> list[tuple[int, GameMessa
             obj = json.loads(line)
             t_ms = obj["t_ms"]
             msg = parse_trace_line(obj)
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise TraceError(f"{source}:{lineno}: {exc}") from None
         # a JSON integer: `type` rather than isinstance, since JSON true loads
         # as a bool, which is an int

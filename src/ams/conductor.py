@@ -152,18 +152,19 @@ class Engine:
         """Compose one two-measure block; returns the decision log record.
 
         The turn order fixes every RNG draw, matrix consumption and XCS
-        update, so replays are byte-identical.  The harmony ranks two-chord
-        candidates, the first chord at each rank up to `top_chord_ranks`
-        (at most the vocabulary size) and its follow-up at rank 1; the lead
-        voice (agent 1) decides; leader election weighs its estimate
-        against the rank-1 confidence.  One rank walk then places the lead:
-        it searches the lead's fragment over a trial matrix extended with
-        each candidate in turn (only rank 1 when harmony leads, every rank
-        when melody leads, none when the lead abstained or fits no
-        transposition) and adopts the first trial where it fits; otherwise
-        the matrix takes the rank-1 chords.  The lead settles; then agent 2
-        (the lowest voice) and the inner voices ascending each propose and
-        settle; last, percussion doubles agent 2's onsets.
+        update, so replays are byte-identical.  The continuation at rank r
+        is the first chord at rank r and its follow-up at rank 1.  Rank 1's
+        is fetched first; the lead voice (agent 1) decides; leader election
+        weighs its estimate against rank 1's confidence.  One rank walk
+        then places the lead: it searches the lead's fragment over a trial
+        matrix extended with each continuation in turn, fetched when the
+        walk reaches its rank (only rank 1 when harmony leads, every rank up
+        to `top_chord_ranks`, at most the vocabulary size, when melody
+        leads, none when the lead abstained or fits no transposition), and
+        adopts the first trial where it fits; otherwise the matrix takes the
+        rank-1 chords.  The lead settles; then agent 2 (the lowest voice)
+        and the inner voices ascending each propose and settle; last,
+        percussion doubles agent 2's onsets.
         """
         config = self.config
         theme = self.themes[theme_id]
@@ -171,20 +172,19 @@ class Engine:
         span_limit = max_range(n_agents, config.style, config.range_factors)
         block_start = self.cycle_index * BLOCK_TICKS
 
-        # harmony candidates, most likely first: (rank, chords, mean confidence);
         # the model reads at most `order` tokens, which as many chords cover
         history = self.chord_history[-self.chord_model.order:]
         n_ranks = min(config.top_chord_ranks, len(self.chord_model.chord_vocabulary))
         if n_ranks == 0:
             raise ConductorError("chord model produced no candidates")
-        candidates: list[tuple[int, list[ChordSymbol], float]] = []
-        for rank in range(1, n_ranks + 1):
+
+        def continuation(rank: int) -> tuple[list[ChordSymbol], float]:
             first, conf_first = self.chord_model.next_chord(history, config.style, rank)
             second, conf_second = self.chord_model.next_chord(
                 history + [first], config.style, 1)
-            candidates.append((rank, [first, second],
-                               (conf_first + conf_second) / 2.0))
-        chosen_rank, chords, harmony_confidence = candidates[0]
+            return [first, second], (conf_first + conf_second) / 2.0
+
+        chords, harmony_confidence = continuation(1)
 
         # the lead voice decides before leader election
         lead_agent = self.agents[0]
@@ -193,15 +193,16 @@ class Engine:
         melody_confidence = lead.estimated_reward / config.reward_max
         constraint1 = RangeConstraint(*config.agent_range(1))
         if isinstance(lead, Abstention) or harmony_confidence >= melody_confidence:
-            leader, walk = "harmony", candidates[:1]
+            leader, walk_ranks = "harmony", 1
         else:
-            leader, walk = "melody", candidates
+            leader, walk_ranks = "melody", n_ranks
         # a lead with no phrase, or one that fits no transposition, fits no matrix
         if (isinstance(lead, Abstention)
                 or not admissible_transpositions(lead.fragment, constraint1)):
-            walk = []
-        found = None
-        for rank, chords_r, _conf in walk:
+            walk_ranks = 0
+        found, chosen_rank = None, 1
+        for rank in range(1, walk_ranks + 1):
+            chords_r = chords if rank == 1 else continuation(rank)[0]
             trial = self.matrix.copy()
             trial.extend(chords_r)
             found = lead_agent.search_placement(

@@ -74,10 +74,6 @@ AffectSnapshot = namedtuple("AffectSnapshot", AFFECT_CATEGORIES, defaults=(0.0,)
 AffectSnapshot.__doc__ = "Affect activations, one field per AFFECT_CATEGORIES entry."
 
 
-def _edge_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _grown(array: np.ndarray, fill=0) -> np.ndarray:
     """`array` at twice its length; the new entries are `fill`."""
     bigger = np.full(2 * len(array), fill, dtype=array.dtype)
@@ -196,12 +192,14 @@ class ConceptGraph:
         index = self._resolve(name)
         return self._add_vertex(name, kind) if index is None else index
 
-    def _set_edge(self, a: str, b: str, weight: float, explicit: bool) -> None:
-        key = _edge_key(a, b)
-        ia, ib = self._index[key[0]], self._index[key[1]]
+    def _set_edge(self, ia: int, ib: int, weight: float, explicit: bool) -> None:
+        """Set the edge between vertex indices `ia` and `ib`, taken in id
+        order for its key; an explicit edge joins the explicit block."""
+        if self.ids[ib] < self.ids[ia]:
+            ia, ib = ib, ia
         if self._kinds[ia] is VertexKind.AFFECT and self._kinds[ib] is VertexKind.AFFECT:
             raise GraphError("edges never form between affect vertices")
-        slot = self._slots.get(key)
+        slot = self._adjacency[ia].get(ib)
         if slot is None:
             slot = len(self._slots)
             if 2 * slot == len(self._weights):
@@ -233,14 +231,15 @@ class ConceptGraph:
         d = 2 * slot
         self._place(self._sources.item(d), self._sources.item(d + 1), to, self._weights.item(d))
 
-    def _remove_edge(self, key: tuple[str, str]) -> None:
-        """Remove an inferred edge; the last slot moves into its place.
+    def _remove_edge(self, ia: int, ib: int) -> None:
+        """Remove the inferred edge between vertex indices `ia` and `ib`,
+        taken in id order for its key; the last slot moves into its place.
         Explicit edges are never removed, so they keep slots 0..E-1."""
-        slot = self._slots.pop(key)
-        d = 2 * slot
-        ia, ib = self._sources.item(d), self._sources.item(d + 1)
-        del self._adjacency[ia][ib]
+        if self.ids[ib] < self.ids[ia]:
+            ia, ib = ib, ia
+        slot = self._adjacency[ia].pop(ib)
         del self._adjacency[ib][ia]
+        del self._slots[(self.ids[ia], self.ids[ib])]
         last = len(self._slots)
         if slot != last:
             self._move(last, slot)
@@ -271,13 +270,13 @@ class ConceptGraph:
         elif isinstance(msg, SetEdge):
             if not 0.0 <= msg.weight <= 1.0:
                 raise GraphError(f"edge weight {msg.weight} outside [0, 1]")
+            ia, ib = self._resolve(msg.a), self._resolve(msg.b)
             # checked before either end is created: a rejected edge adds no vertex
-            resolved = self._resolve(msg.a)
-            if msg.a == msg.b or (resolved is not None and resolved == self._resolve(msg.b)):
+            if msg.a == msg.b or (ia is not None and ia == ib):
                 raise GraphError(f"self-loop on {msg.a!r}")
-            a = self._ensure_concept(msg.a, VertexKind.OBJECT)
-            b = self._ensure_concept(msg.b, VertexKind.OBJECT)
-            self._set_edge(self.ids[a], self.ids[b], msg.weight, explicit=True)
+            ia = self._add_vertex(msg.a, VertexKind.OBJECT) if ia is None else ia
+            ib = self._add_vertex(msg.b, VertexKind.OBJECT) if ib is None else ib
+            self._set_edge(ia, ib, msg.weight, explicit=True)
         elif isinstance(msg, AssignTheme):
             index = self._ensure_concept(msg.concept, VertexKind.OBJECT)
             if self._kinds[index] is not VertexKind.OBJECT:
@@ -332,11 +331,9 @@ class ConceptGraph:
             np.maximum(weights, 0.0, out=weights)
             if weights.item(weights.argmin()) < EDGE_REMOVAL_THRESHOLD:
                 doomed = (weights[::2] < EDGE_REMOVAL_THRESHOLD).nonzero()[0] + explicit
-                # every key before the first removal, which moves the last slot
-                ids, sources = self.ids, self._sources
-                for key in [(ids[sources.item(2 * slot)], ids[sources.item(2 * slot + 1)])
-                            for slot in doomed.tolist()]:
-                    self._remove_edge(key)
+                # every pair before the first removal, which moves the last slot
+                for ia, ib in self._sources.reshape(-1, 2)[doomed].tolist():
+                    self._remove_edge(ia, ib)
 
         self.clock += dt_ms
 
@@ -358,8 +355,7 @@ class ConceptGraph:
                 for j in hot[n + 1:]:
                     slot = neighbours.get(j)
                     if slot is None:
-                        self._set_edge(self.ids[i], self.ids[j],
-                                       self.params.inferred_edge_weight, explicit=False)
+                        self._set_edge(i, j, self.params.inferred_edge_weight, explicit=False)
                     elif slot >= self._n_explicit:
                         directed += (2 * slot, 2 * slot + 1)
             self._hot_directed = np.array(directed, dtype=np.intp)

@@ -96,7 +96,7 @@ def _note_track(track: Track) -> bytes:
         events.append((note.onset + note.duration, 0, note.pitch, 0))  # off first
         events.append((note.onset, 1, note.pitch, note.velocity))
     events.sort()
-    body = b""
+    body = bytearray()
     if track.name:
         name = track.name.encode("ascii", "replace")
         body += b"\x00\xff\x03" + bytes([len(name)]) + name

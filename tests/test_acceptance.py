@@ -66,7 +66,7 @@ def test_02_fading_rates():
     g2 = ConceptGraph()
     g2.apply_message(ActivateConcept("a", "object", 0.0, "set"))
     g2.apply_message(ActivateConcept("b", "object", 0.0, "set"))
-    g2._set_edge("a", "b", 0.5, explicit=False)
+    g2._set_edge(g2.ids.index("a"), g2.ids.index("b"), 0.5, explicit=False)
     for _ in range(1000):
         g2.tick(30)
     assert abs(g2.edges[("a", "b")].weight - 0.2) < 1e-9

@@ -8,7 +8,7 @@ import struct
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ams.chord_model import ChordSequenceModel
@@ -104,6 +104,15 @@ TRACE_VALUES = (st.none() | st.booleans() | st.integers() | st.text(max_size=8)
                 | st.lists(st.integers(), max_size=2))
 
 
+# keys an event may misspell or borrow from another type's schema
+STRAY_KEYS = sorted({name for kind in MESSAGE_TYPES.values() for name, _, _ in kind.fields}
+                    | {"mdoe", "t", "Type", ""})
+
+
+def _fields(kind: str) -> set[str]:
+    return {name for name, _, _ in MESSAGE_TYPES[kind].fields}
+
+
 @st.composite
 def trace_events(draw):
     kind = draw(st.sampled_from(sorted(MESSAGE_TYPES)))
@@ -111,12 +120,20 @@ def trace_events(draw):
     for name, _, _ in MESSAGE_TYPES[kind].fields:
         if draw(st.integers(0, 9)):  # now and then leave a field out
             event[name] = draw(TRACE_VALUES)
+    if not draw(st.integers(0, 9)):  # now and then add a key the type lacks
+        event[draw(st.sampled_from(STRAY_KEYS).filter(
+            lambda key: key not in _fields(kind)))] = draw(TRACE_VALUES)
     return event
 
 
 @settings(max_examples=500, deadline=None)
 @given(trace_events())
+@example({"t_ms": 0, "type": "affect", "category": "happiness", "level": 30, "mdoe": "add"})
 def test_trace_accepts_exactly_what_osc_accepts(event):
+    if not event.keys() <= {"t_ms", "type"} | _fields(event["type"]):
+        with pytest.raises(TraceError, match=r"^t\.jsonl:1: unknown \w+ field "):
+            parse_trace(json.dumps(event), "t.jsonl")
+        return
     try:
         (_, msg), = parse_trace(json.dumps(event))
     except TraceError:
@@ -350,6 +367,13 @@ def test_replay_bad_trace_exits_runtime(tmp_path, capsys):
     assert "goes backwards" in capsys.readouterr().err
 
 
+def test_replay_deeply_nested_trace_line_exits_runtime(tmp_path, capsys):
+    trace = tmp_path / "deep.jsonl"
+    trace.write_text("[" * 200_000 + "\n")
+    assert main(["replay", str(trace)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {trace}:1: ")
+
+
 def test_replay_missing_trace_exits_runtime(capsys):
     assert main(["replay", "/nonexistent.jsonl"]) == EXIT_RUNTIME
 
@@ -421,7 +445,9 @@ def test_replay_default_theme_missing_from_the_library_exits_runtime(tmp_path, c
     (b"AMSC\x01", "truncated model header"),
     (b"AMSC" + struct.pack(">BI", 1, 9) + b"{not json", "malformed model body"),
     (b"AMSC" + struct.pack(">BI", 1, 2) + b"{}", "malformed model body: KeyError"),
-], ids=["short-header", "bad-json", "no-order"])
+    (b"AMSC" + struct.pack(">BI", 1, 200_000) + b"[" * 200_000,
+     "malformed model body: RecursionError"),
+], ids=["short-header", "bad-json", "no-order", "deep-json"])
 def test_replay_corrupt_chord_model_exits_runtime(blob, message, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     trace.write_text(TRACE)

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -366,11 +367,15 @@ def test_chord_candidates_are_bounded_by_the_vocabulary():
         engine.compose_block()
 
 
-def _replay_counting_lead_searches(monkeypatch):
-    """Replay the bundled traces with demo.cfg; yields each engine with the
-    lead's searches per cycle, as (cycle -> [admissible, ...])."""
+def _replay_counting_lead_searches(monkeypatch, chord_model=None, **overrides):
+    """Replay the bundled traces with demo.cfg, changed by `overrides` and,
+    if given, with `chord_model`; yields each engine with the lead's
+    searches per cycle, as (cycle -> [admissible, ...]), and the chord
+    model's calls per cycle, as (cycle -> [(rank, history length), ...])."""
     search = MelodyAgent.search_placement
+    next_chord = ChordSequenceModel.next_chord
     calls: list[tuple[int, int, bool]] = []  # (cycle, agent, admissible)
+    chord_calls: list[tuple[int, int, int]] = []  # (cycle, rank, history length)
     engines = []
 
     def counting_search(agent, fragment, matrix, style, n_agents, constraint):
@@ -378,10 +383,18 @@ def _replay_counting_lead_searches(monkeypatch):
         calls.append((engines[-1].cycle_index, agent.agent_id, admissible))
         return search(agent, fragment, matrix, style, n_agents, constraint)
 
+    def recording_next_chord(model, history, style, rank=1):
+        chord_calls.append((engines[-1].cycle_index, rank, len(history)))
+        return next_chord(model, history, style, rank)
+
     monkeypatch.setattr(MelodyAgent, "search_placement", counting_search)
+    monkeypatch.setattr(ChordSequenceModel, "next_chord", recording_next_chord)
     for trace in ("happiness_plateau", "mixed_session", "sadness_plateau", "threat_ramp"):
         calls.clear()
-        engine = build_engine(load_config(ASSET_ROOT / "demo.cfg"))
+        chord_calls.clear()
+        engine = build_engine(replace(load_config(ASSET_ROOT / "demo.cfg"), **overrides))
+        if chord_model is not None:
+            engine.chord_model = chord_model
         engines.append(engine)
         events = parse_trace((ASSET_ROOT / "traces" / f"{trace}.jsonl").read_text())
         engine.run(events[-1][0] + int(2 * engine.block_ms),
@@ -390,14 +403,17 @@ def _replay_counting_lead_searches(monkeypatch):
         for cycle, agent, admissible in calls:
             if agent == 1:
                 lead_searches.setdefault(cycle, []).append(admissible)
-        yield engine, lead_searches
+        chord_ranks: dict[int, list[tuple[int, int]]] = {}
+        for cycle, rank, length in chord_calls:
+            chord_ranks.setdefault(cycle, []).append((rank, length))
+        yield engine, lead_searches, chord_ranks
 
 
 def test_melody_led_walk_skips_a_lead_phrase_that_fits_nowhere(monkeypatch):
     # a lead phrase with no admissible transposition, or longer than the
     # region, fits no trial matrix: the walk is skipped and rank 1 kept
     skipped = 0
-    for engine, lead_searches in _replay_counting_lead_searches(monkeypatch):
+    for engine, lead_searches, _ in _replay_counting_lead_searches(monkeypatch):
         for record in engine.cycle_log:
             if record["leader"] != "melody":
                 continue
@@ -419,7 +435,7 @@ def test_harmony_led_walk_searches_rank_one_only_for_an_admissible_lead(monkeypa
     # harmony leading is the same walk cut to rank 1: the lead is searched
     # once when it has a phrase that fits some transposition, else never
     searched = skipped = 0
-    for engine, lead_searches in _replay_counting_lead_searches(monkeypatch):
+    for engine, lead_searches, _ in _replay_counting_lead_searches(monkeypatch):
         for record in engine.cycle_log:
             if record["leader"] != "harmony":
                 continue
@@ -436,6 +452,42 @@ def test_harmony_led_walk_searches_rank_one_only_for_an_admissible_lead(monkeypa
     # over the bundled replays, 43 harmony-led searches; 3 leads that fit
     # nowhere, each searched in vain before the walk was shared, are not
     assert (searched, skipped) == (43, 3)
+
+
+@pytest.mark.parametrize("two_chords", [False, True], ids=["bundled-model", "two-chord-model"])
+def test_a_cycle_fetches_the_continuations_its_walk_reaches(monkeypatch, two_chords):
+    # rank 1's continuation is fetched for leader election, rank r's only
+    # when the walk reaches r: up to the adopted rank, every rank after a
+    # melody-led walk that failed, and rank 1 alone otherwise.  The
+    # two-chord model, a low reward_max and a high h_min make melody lead,
+    # fail at rank 1 and fit at rank 2
+    overrides = dict(chord_model=train(ingest_corpus("C G | C G C", "jazz"), order=2),
+                     reward_max=0.05, h_min=0.7) if two_chords else {}
+    cases = Counter()
+    for engine, lead_searches, chord_ranks in _replay_counting_lead_searches(
+            monkeypatch, **overrides):
+        n_ranks = min(engine.config.top_chord_ranks, len(engine.chord_model.chord_vocabulary))
+        for record in engine.cycle_log:
+            calls = chord_ranks[record["cycle"]]
+            # a first chord is asked with the cycle's history, its
+            # follow-up, at rank 1, with one chord more
+            shortest = min(length for _, length in calls)
+            firsts = [rank for rank, length in calls if length == shortest]
+            assert [(rank, length) for rank, length in calls if length != shortest] == [
+                (1, shortest + 1)] * len(firsts)
+            if not record["agents"][0]["abstained"]:
+                case, reached = "adopted", record["chord_rank"]
+            elif record["leader"] == "melody" and lead_searches.get(record["cycle"]):
+                case, reached = "failed walk", n_ranks
+            else:
+                case, reached = "no walk", 1
+            assert firsts == list(range(1, reached + 1))
+            cases[case, reached] += 1
+    # the bundled replays adopt rank 1 or skip the walk in all 128 cycles,
+    # where each fetched 8 continuations; the two-chord replays reach rank 2
+    reached = ({("adopted", 2), ("failed walk", 2), ("no walk", 1)} if two_chords
+               else {("adopted", 1), ("no walk", 1)})
+    assert reached <= set(cases)
 
 
 def _evolve_scanning_every_vertex(engine):

@@ -144,7 +144,7 @@ def test_inferred_edge_removed_below_threshold():
     g = ConceptGraph()
     g.apply_message(ActivateConcept("a", "object", 0.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 0.0, "set"))
-    g._set_edge("a", "b", 0.011, explicit=False)
+    g._set_edge(g.ids.index("a"), g.ids.index("b"), 0.011, explicit=False)
     for _ in range(10):  # 0.3 s -> fades 0.003, under the 0.01 floor
         g.tick(30)
     assert ("a", "b") not in g.edges

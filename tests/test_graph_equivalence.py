@@ -379,6 +379,10 @@ PROMOTE_INFERRED = hot("a", "b", "c", level=51.0) + [30, SetEdge("c", "b", 0.2),
 NEAREST_TIES = [AssignTheme("e", 1), AssignTheme("b", 2), AssignTheme("d", 3),
                 SetEdge("a", "e", 0.5), SetEdge("b", "a", 0.5), SetEdge("e", "d", 1.0), 30]
 
+# SetEdge("b", "a") creates b, then a, and keys the edge in id order,
+# a before b; SetEdge("a", "b") then updates that same edge
+EDGE_BOTH_WAYS = [SetEdge("b", "a", 0.2), 30, SetEdge("a", "b", 0.7), 30]
+
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(FAST_EDGE_FADE, PRUNE)
@@ -390,6 +394,7 @@ NEAREST_TIES = [AssignTheme("e", 1), AssignTheme("b", 2), AssignTheme("d", 3),
 @example(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
 @example(FAST_EDGE_FADE, EXPLICIT_AMONG_INFERRED)
 @example(FAST_EDGE_FADE, PROMOTE_INFERRED)
+@example(NO_FADE, EDGE_BOTH_WAYS)
 @given(PARAMS, st.lists(OPS, max_size=40))
 def test_array_graph_matches_reference(params, ops):
     run_both(params, ops)
@@ -430,6 +435,10 @@ def test_examples_reach_the_cases_they_name():
     reference = run_both(FAST_EDGE_FADE, PROMOTE_INFERRED)
     assert reference.pruned == 2
     assert reference.edges == {("b", "c"): _Edge("b", "c", 0.2, True)}
+
+    reference = run_both(NO_FADE, EDGE_BOTH_WAYS)
+    assert list(reference.vertices)[len(AFFECT_CATEGORIES):] == ["b", "a"]
+    assert reference.edges == {("a", "b"): _Edge("a", "b", 0.7, True)}
 
 
 @pytest.mark.parametrize("name", ["a", "missing"])

@@ -1,5 +1,7 @@
 """MIDI writing and parse-back."""
 
+import time
+
 import pytest
 
 from ams.render import (
@@ -104,3 +106,13 @@ def test_parse_back_detects_unmatched_note_on():
             + b"MTrk" + struct.pack(">I", len(body)) + body)
     with pytest.raises(RenderError):
         read_midi_bytes(blob)
+
+
+def test_a_long_track_encodes_in_linear_time():
+    # a day of `session` replay writes about 330k percussion notes; a track
+    # body grown by bytes concatenation costs time quadratic in its notes
+    notes = [ScoreNote(36 + i % 12, 60 * i, 30, 100) for i in range(100_000)]
+    start = time.perf_counter()
+    blob = score_to_midi_bytes(Score(120.0, [Track("percussion", 9, notes)]))
+    assert time.perf_counter() - start < 5.0
+    assert len(read_midi_bytes(blob).tracks[0].notes) == 100_000
