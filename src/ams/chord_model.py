@@ -149,11 +149,11 @@ def _token_from_key(key: str) -> Token:
 class ChordSequenceModel:
     """Order-k count model with stupid backoff over chords and style tokens.
 
-    `train` and `load` build a model; after that it is read-only.  The
-    ranked distribution of each context truncated to `order` tokens is
-    computed the first time a query needs it and kept on the model, so a
-    later change to `counts` or `vocabulary` would leave stale rankings
-    behind.  The runtime context is history chords interleaved with the
+    `train` and `load` build a model; after that it is read-only.  Its
+    sorted `chord_vocabulary` is derived when it is built, which rejects a
+    vocabulary that lists a token twice.  The ranked distribution of each
+    context truncated to `order` tokens is computed the first time a query
+    needs it and kept on the model.  The runtime context is history chords interleaved with the
     style token, so how many rankings a session keeps is bounded by the
     vocabulary and the styles, not by the session's length.
     """
@@ -161,13 +161,15 @@ class ChordSequenceModel:
     order: int
     counts: dict[tuple[Token, ...], dict[Token, int]] = field(default_factory=dict)
     vocabulary: list[Token] = field(default_factory=list)
+    chord_vocabulary: list[ChordSymbol] = field(init=False, repr=False, compare=False)
     # truncated context -> ranked (chord, probability) pairs
     _rankings: dict[tuple[Token, ...], tuple[tuple[ChordSymbol, float], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def chord_vocabulary(self) -> list[ChordSymbol]:
-        return sorted(t for t in self.vocabulary if isinstance(t, ChordSymbol))
+    def __post_init__(self):
+        if len(set(self.vocabulary)) != len(self.vocabulary):
+            raise ChordError("vocabulary lists a token twice")
+        self.chord_vocabulary = sorted(t for t in self.vocabulary if isinstance(t, ChordSymbol))
 
     # -- scoring ------------------------------------------------------------
 
@@ -269,9 +271,10 @@ class ChordSequenceModel:
 
     @classmethod
     def load(cls, path) -> "ChordSequenceModel":
-        """Read a `save`d model; a truncated or malformed file, an order
-        that is not an int >= 1 or a count that is not an int >= 1 is a
-        ChordError naming the path."""
+        """Read a `save`d model; a truncated or malformed file (a token
+        listed twice in the vocabulary included), an order that is not an
+        int >= 1 or a count that is not an int >= 1 is a ChordError naming
+        the path."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != cls.MAGIC:
@@ -283,11 +286,11 @@ class ChordSequenceModel:
             raise ChordError(f"{path}: unsupported model version {version}")
         try:
             payload = json.loads(blob[9 : 9 + size].decode("utf-8"))
-            model = cls(order=payload["order"])
-            model.vocabulary = [_token_from_key(k) for k in payload["vocabulary"]]
-            for ctx_keys, table in payload["counts"]:
-                ctx = tuple(_token_from_key(k) for k in ctx_keys)
-                model.counts[ctx] = {_token_from_key(k): n for k, n in table.items()}
+            vocabulary = [_token_from_key(k) for k in payload["vocabulary"]]
+            counts = {tuple(_token_from_key(k) for k in ctx_keys):
+                      {_token_from_key(k): n for k, n in table.items()}
+                      for ctx_keys, table in payload["counts"]}
+            model = cls(payload["order"], counts, vocabulary)
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ChordError(f"{path}: malformed model body: {exc!r}") from None
         if not _is_count(model.order):
@@ -310,20 +313,12 @@ def train(tokens: list[Token], order: int = 3) -> ChordSequenceModel:
         raise ChordError("order must be >= 1")
     if not tokens:
         raise ChordError("empty token stream")
-    model = ChordSequenceModel(order=order)
-    seen: set[str] = set()
-    for token in tokens:
-        key = _token_key(token)
-        if key not in seen:
-            seen.add(key)
-            model.vocabulary.append(token)
+    counts: dict[tuple[Token, ...], dict[Token, int]] = {}
     for i, token in enumerate(tokens):
-        for length in range(0, order + 1):
-            if i - length < 0:
-                break
-            table = model.counts.setdefault(tuple(tokens[i - length : i]), {})
+        for length in range(min(i, order) + 1):
+            table = counts.setdefault(tuple(tokens[i - length : i]), {})
             table[token] = table.get(token, 0) + 1
-    return model
+    return ChordSequenceModel(order, counts, list(dict.fromkeys(tokens)))
 
 
 def perplexity(model: ChordSequenceModel, tokens: list[Token]) -> float:

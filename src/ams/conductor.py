@@ -27,7 +27,7 @@ from .melody import (
     placed_fragment,
     realize_reward,
 )
-from .osc_gateway import AssignTheme, MessageQueue
+from .osc_gateway import THEME_IDS, AssignTheme, MessageQueue
 from .percussion import GM_NOTES, generate_percussion
 from .render import BLOCK_TICKS, PERCUSSION_CHANNEL, Score, ScoreNote, Track
 from .themes import add_theme
@@ -71,9 +71,7 @@ class Engine:
         self.chord_history: list[ChordSymbol] = []
         self.cycle_index = 0
         self.cycle_log: list[dict] = []
-        # unthemed objects not yet checked for evolution, in vertex order
-        self._unthemed: list[str] = []
-        self._vertices_seen = 0
+        self._checked: set[int] = set()  # object vertex indices checked for evolution
 
         self.melody_tracks = [
             Track(name=f"melody-{i + 1}", channel=self._channel(i))
@@ -112,38 +110,36 @@ class Engine:
         self.graph.tick(self.config.tick_ms)
 
     def _maybe_evolve_themes(self) -> None:
-        """Evolve a theme for any unthemed object once its first edge
-        appears, breeding from the nearest themed objects.  An object is
-        checked once, in vertex insertion order; one themed by a message
-        first is never checked."""
+        """Evolve a theme for each unthemed object in `graph.first_edges`
+        that still has an edge, bred from the nearest themed objects.  An
+        object is checked once, in vertex order; one themed by a message
+        first is never checked.  Nothing evolves once every theme id is
+        taken, and nothing is searched while no vertex carries a theme."""
         graph = self.graph
-        if not self._unthemed and len(graph.ids) == self._vertices_seen:
+        if not graph.first_edges:
             return
-        for vid in graph.ids[self._vertices_seen:]:
+        reported = sorted(set(graph.first_edges))
+        graph.first_edges.clear()
+        searchable = graph.has_themes()
+        for index in reported:
+            # add_theme would store nothing: ids run 0..THEME_IDS-1, none is freed
+            if len(self.themes) >= THEME_IDS:
+                return
+            vid = graph.ids[index]
+            # an edge pruned since is reported again when the next one forms
+            if index in self._checked or graph.degree(vid) == 0:
+                continue
             vertex = graph.vertices[vid]
-            if vertex.kind is VertexKind.OBJECT and vertex.theme is None:
-                self._unthemed.append(vid)
-        self._vertices_seen = len(graph.ids)
-        waiting = []
-        for vid in self._unthemed:
-            # degree first: it is cheaper than the snapshot, and an object
-            # themed while it waits is dropped once it has an edge
-            if graph.degree(vid) == 0:
-                waiting.append(vid)
+            if vertex.kind is not VertexKind.OBJECT or vertex.theme is not None:
                 continue
-            if graph.vertices[vid].theme is not None:
-                continue
-            parent_ids = graph.nearest_themed(vid, 2)
+            self._checked.add(index)
+            parent_ids = graph.nearest_themed(vid, 2) if searchable else []
             parents = [self.themes[t] for t in parent_ids if t in self.themes]
             if not parents:
                 continue
-            if len(parents) == 1:
-                parents.append(parents[0])
-            child = evolve_theme(parents[0], parents[1], self.evolution_rng)
-            new_id = add_theme(self.themes, child)
-            if new_id is not None:
-                graph.apply_message(AssignTheme(vid, new_id))
-        self._unthemed = waiting
+            # one themed neighbour breeds with itself
+            child = evolve_theme(parents[0], parents[-1], self.evolution_rng)
+            graph.apply_message(AssignTheme(vid, add_theme(self.themes, child)))
 
     # -- composition --------------------------------------------------------
 

@@ -135,7 +135,9 @@ class ConceptGraph:
     read-only list; `vertices` (id -> Vertex, in index order) and `edges`
     (sorted endpoint pair -> Edge, in creation order) are read-only
     mappings whose values are snapshots as of their lookup; the graph
-    changes only through `apply_message` and `tick`.
+    changes only through `apply_message` and `tick`.  `first_edges` lists,
+    in order, each vertex index a new edge took from no edge to one; its
+    reader clears it.
     """
 
     def __init__(self, params: GraphParams | None = None):
@@ -147,6 +149,7 @@ class ConceptGraph:
         self._kinds: list[VertexKind] = []
         self._last_activated: list[int] = []
         self._adjacency: list[dict[int, int]] = []  # neighbour index -> edge slot
+        self.first_edges: list[int] = []
         self._activation = np.zeros(_INITIAL_CAPACITY)
         self._themes = np.full(_INITIAL_CAPACITY, -1, dtype=np.intp)  # -1: none
         # per edge slot s, directed entries 2s (a -> b) and 2s + 1 (b -> a)
@@ -201,6 +204,9 @@ class ConceptGraph:
             raise GraphError("edges never form between affect vertices")
         slot = self._adjacency[ia].get(ib)
         if slot is None:
+            for i in (ia, ib):
+                if not self._adjacency[i]:
+                    self.first_edges.append(i)
             slot = len(self._slots)
             if 2 * slot == len(self._weights):
                 self._sources = _grown(self._sources)
@@ -256,6 +262,9 @@ class ConceptGraph:
     def degree(self, concept: str) -> int:
         index = self._index.get(concept)
         return 0 if index is None else len(self._adjacency[index])
+
+    def has_themes(self) -> bool:
+        return bool(self._themes.max() >= 0)  # unused capacity holds -1
 
     # -- message application ------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Next-chord model: tokenization, ranking, confidence, persistence."""
 
 import functools
+import json
 import math
+import re
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -186,7 +189,26 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.order == model.order
     assert loaded.counts == model.counts
     assert loaded.vocabulary == model.vocabulary
+    assert loaded.chord_vocabulary == sorted(t for t in model.vocabulary
+                                             if isinstance(t, ChordSymbol))
     assert path.read_bytes()[:4] == b"AMSC"
+
+
+def test_a_vocabulary_listing_a_token_twice_is_rejected(tmp_path):
+    """A doubled vocabulary would rank each chord twice, with probabilities
+    summing to 2; neither direct construction nor `load` accepts one."""
+    model = train(ingest_corpus("C | G", "pop"), order=1)
+    with pytest.raises(ChordError, match="twice"):
+        ChordSequenceModel(model.order, model.counts, model.vocabulary * 2)
+    path = tmp_path / "doubled.model"
+    model.save(path)
+    blob = path.read_bytes()
+    payload = json.loads(blob[9:])
+    payload["vocabulary"] *= 2
+    body = json.dumps(payload).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack(">BI", 1, len(body)) + body)
+    with pytest.raises(ChordError, match=f"^{re.escape(str(path))}: .*twice"):
+        ChordSequenceModel.load(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

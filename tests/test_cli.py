@@ -556,6 +556,17 @@ def test_replay_chord_model_with_bad_order_or_counts_exits_runtime(changes, mess
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
 
+def test_replay_chord_model_listing_a_chord_twice_exits_runtime(tmp_path, capsys):
+    model = tmp_path / "chords.model"
+    model.write_bytes(_model_blob(vocabulary=["c/0/maj", "c/7/maj"] * 2))
+    config = tmp_path / "model.cfg"
+    config.write_text("engine.chord_model = chords.model\n")
+    trace = ASSET_ROOT / "traces" / "threat_ramp.jsonl"
+    assert main(["replay", str(trace), "--config", str(config)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (f"error: {model}: malformed model body: "
+                                       "ChordError('vocabulary lists a token twice')\n")
+
+
 def test_chord_model_of_valid_order_and_counts_replays(tmp_path, capsys):
     model = tmp_path / "chords.model"
     model.write_bytes(_model_blob())

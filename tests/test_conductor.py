@@ -5,14 +5,14 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ams.chord_model import STYLES, ChordSequenceModel, ingest_corpus, train
 from ams.cli import build_engine, bundled_corpus, parse_trace, trace_feed
 from ams import conductor
 from ams.config import ASSET_ROOT, EngineConfig, load_config
-from ams.context_graph import ConceptGraph, VertexKind
+from ams.context_graph import ConceptGraph, GraphParams, VertexKind
 from ams.melody import (
     SCALES,
     Key,
@@ -23,9 +23,9 @@ from ams.melody import (
     admissible_transpositions,
     evolve_theme,
 )
-from ams.osc_gateway import ActivateConcept, AssignTheme, SetAffect, SetEdge
+from ams.osc_gateway import THEME_IDS, ActivateConcept, AssignTheme, SetAffect, SetEdge
 from ams.render import BLOCK_TICKS, MEASURE_TICKS, read_midi_bytes, score_to_midi_bytes
-from ams.themes import add_theme
+from ams.themes import add_theme, load_themes
 from ams.xcs import XcsPopulation
 
 
@@ -492,7 +492,7 @@ def test_a_cycle_fetches_the_continuations_its_walk_reaches(monkeypatch, two_cho
 
 def _evolve_scanning_every_vertex(engine):
     """Theme evolution as a scan of all vertices per tick, with a set of
-    the checked ones: the reference for the pending list."""
+    the checked ones: the reference for evolution from `first_edges`."""
     for vid in list(engine.graph.vertices):
         vertex = engine.graph.vertices[vid]
         if (vertex.kind is not VertexKind.OBJECT or vertex.theme is not None
@@ -511,10 +511,12 @@ def _evolve_scanning_every_vertex(engine):
             engine.graph.apply_message(AssignTheme(vid, new_id))
 
 
-def _run_with_both_evolutions(steps):
+def _run_with_both_evolutions(steps, build=make_engine, same_rng=True):
     """Feed `steps` (a list of message lists, one per tick) to an engine
-    with the pending list and to one with the reference scan."""
-    engine, reference = make_engine(), make_engine()
+    from `build` and to one with the reference scan.  Both must give every
+    vertex the same theme and hold the same themes, and, if `same_rng`,
+    have drawn the same evolution numbers."""
+    engine, reference = build(), build()
     reference.checked = set()
     reference._maybe_evolve_themes = lambda: _evolve_scanning_every_vertex(reference)
     for messages in steps:
@@ -525,8 +527,110 @@ def _run_with_both_evolutions(steps):
     themes = {vid: v.theme for vid, v in engine.graph.vertices.items()}
     assert themes == {vid: v.theme for vid, v in reference.graph.vertices.items()}
     assert engine.themes == reference.themes
-    assert engine.evolution_rng.getstate() == reference.evolution_rng.getstate()
+    if same_rng:
+        assert engine.evolution_rng.getstate() == reference.evolution_rng.getstate()
     return engine
+
+
+# a small name pool, so that edges meet: objects, an environment and an
+# affect; theme ids 0-7 are bundled, the others are not loaded
+_NAMES = st.sampled_from(("a", "b", "c", "d", "cave", "threat"))
+_ACTIVATIONS = st.builds(
+    lambda name, level: ActivateConcept(
+        name, "environment" if name == "cave" else "object", level, "set"),
+    _NAMES, st.sampled_from((10.0, 90.0, 90.0)))
+# activations come twice as often as the others, since edges are inferred
+# between two hot concepts
+_MESSAGES = st.one_of(
+    _ACTIVATIONS, _ACTIVATIONS,
+    st.builds(AssignTheme, _NAMES, st.sampled_from((0, 7, 8, 63))),
+    st.builds(SetEdge, _NAMES, _NAMES, st.sampled_from((0.0, 0.3, 0.9))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.lists(_MESSAGES, max_size=4), min_size=1, max_size=8),
+       edge_fade=st.one_of(st.just(GraphParams().edge_fade_per_s),
+                           st.floats(4.0, 16.0), st.floats(17.0, 100.0)),
+       theme_at=st.integers(0, 8), last_edges=st.permutations(("b", "c", "d", "cave")))
+@example(steps=[[ActivateConcept("b", "object", 90.0, "set"),
+                 ActivateConcept("c", "object", 90.0, "set")], []],
+         edge_fade=10.0, theme_at=2, last_edges=("b", "c", "d", "cave"))
+@example(steps=[[ActivateConcept("b", "object", 90.0, "set"),
+                 ActivateConcept("c", "object", 90.0, "set")], []],
+         edge_fade=17.0, theme_at=0, last_edges=("b", "c", "d", "cave"))
+def test_evolution_from_first_edges_matches_a_scan_of_every_vertex(steps, edge_fade, theme_at,
+                                                                    last_edges):
+    """Object `a` takes a bundled theme before step `theme_at`, and at the
+    end every other concept gets an edge to it, in a drawn order, so that
+    an object checked too early, too late or twice shows.  An inferred
+    edge fades out within a few ticks at an edge fade of 4-16/s, so that
+    an object checked while no vertex had a theme can get its first edge
+    again; from 17/s an inferred edge is made and pruned in one tick, so
+    an object can be reported with no edge left.  The two explicit
+    examples are these cases."""
+    config = EngineConfig(seed=7, graph=GraphParams(edge_fade_per_s=edge_fade))
+    themes, model = load_themes(config.theme_path), _CORPUS_MODEL
+    steps = [*steps[:theme_at], [AssignTheme("a", 0)], *steps[theme_at:],
+             [SetEdge(n, "a", 0.9) for n in last_edges], [], []]
+    _run_with_both_evolutions(steps, lambda: conductor.Engine(config, dict(themes), model))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_edgeless_objects_cost_evolution_no_degree_call(monkeypatch):
+    engine = make_engine()
+    for i in range(10_000):
+        engine.queue.put(ActivateConcept(f"o{i}", "object", 10.0, "set"))
+    calls = _count_calls(monkeypatch, ConceptGraph, "degree")
+    for _ in range(3):
+        engine.tick()
+    assert len(engine.graph.ids) > 10_000 and not engine.graph.edges
+    assert calls == []
+
+
+def test_hot_objects_without_a_themed_vertex_start_no_search(monkeypatch):
+    engine = make_engine()
+    for i in range(100):
+        engine.queue.put(ActivateConcept(f"o{i}", "object", 90.0, "set"))
+    calls = _count_calls(monkeypatch, ConceptGraph, "nearest_themed")
+    for _ in range(3):
+        engine.tick()
+    assert len(engine.graph.edges) == 100 * 99 // 2
+    assert calls == []
+    # each was checked all the same: a themed neighbour arriving later
+    # breeds nothing
+    engine.queue.put(AssignTheme("hero", 0))
+    engine.queue.put(SetEdge("hero", "o0", 0.9))
+    engine.tick()
+    assert engine.graph.vertices["o0"].theme is None
+
+
+def test_nothing_evolves_once_every_theme_id_is_taken(monkeypatch):
+    def full_engine():
+        engine = make_engine()
+        for theme_id in range(THEME_IDS):
+            engine.themes.setdefault(theme_id, engine.themes[0])
+        return engine
+
+    calls = _count_calls(monkeypatch, conductor, "evolve_theme")
+    engine = _run_with_both_evolutions([
+        [ActivateConcept("hero", "object", 80.0, "set"), AssignTheme("hero", 0)],
+        [SetEdge("hero", "sidekick", 0.9)],
+        [],
+    ], full_engine, same_rng=False)
+    assert calls == []
+    assert engine.graph.vertices["sidekick"].theme is None
 
 
 def test_same_tick_evolutions_follow_vertex_insertion_order():
