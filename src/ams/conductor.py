@@ -114,13 +114,13 @@ class Engine:
         that still has an edge, bred from the nearest themed objects.  An
         object is checked once, in vertex order; one themed by a message
         first is never checked.  Nothing evolves once every theme id is
-        taken, and nothing is searched while no vertex carries a theme."""
+        taken; nothing is searched while no vertex carries a loaded theme."""
         graph = self.graph
         if not graph.first_edges:
             return
         reported = sorted(set(graph.first_edges))
         graph.first_edges.clear()
-        searchable = graph.has_themes()
+        searchable = graph.has_themes(self.themes)
         for index in reported:
             # add_theme would store nothing: ids run 0..THEME_IDS-1, none is freed
             if len(self.themes) >= THEME_IDS:

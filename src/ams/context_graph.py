@@ -263,8 +263,9 @@ class ConceptGraph:
         index = self._index.get(concept)
         return 0 if index is None else len(self._adjacency[index])
 
-    def has_themes(self) -> bool:
-        return bool(self._themes.max() >= 0)  # unused capacity holds -1
+    def has_themes(self, theme_ids) -> bool:
+        """Some vertex carries one of `theme_ids`; unused capacity holds -1."""
+        return any(t in theme_ids for t in set(self._themes[self._themes >= 0].tolist()))
 
     # -- message application ------------------------------------------------
 

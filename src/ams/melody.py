@@ -205,14 +205,16 @@ def reward(snapshot: AffectSnapshot, features: FragmentFeatures) -> float:
     return r_e + r_h + r_s + r_te + r_th
 
 
-def encode_environment(snapshot: AffectSnapshot, theme_id: int) -> str:
-    """Canonical-order affect bins (2 bits each) plus the theme id in
-    THEME_BITS bits."""
+def encode_environment(snapshot: AffectSnapshot, theme_id: int) -> int:
+    """The classifier input: a 2-bit bin per affect level in canonical
+    order, the first in the most significant bits, then the theme id in
+    the low THEME_BITS bits."""
     if not 0 <= theme_id < THEME_IDS:
         raise MelodyError(f"theme id {theme_id} does not fit {THEME_BITS} bits")
-    bits = ["00" if level < 25 else "01" if level < 50 else "10" if level < 75 else "11"
-            for level in snapshot]
-    return "".join(bits) + format(theme_id, f"0{THEME_BITS}b")
+    x = 0
+    for level in snapshot:
+        x = x << 2 | (0 if level < 25 else 1 if level < 50 else 2 if level < 75 else 3)
+    return x << THEME_BITS | theme_id
 
 
 def style_score(features: FragmentFeatures, style: str, n_agents: int) -> float:
@@ -329,8 +331,7 @@ class MelodyAgent:
     def decide(self, snapshot: AffectSnapshot, theme_id: int,
                explore_prob: float = 0.0) -> tuple[int, float, list]:
         """Run the XCS step: returns (operator, estimated reward, action set)."""
-        bits = encode_environment(snapshot, theme_id)
-        match_set = self.population.match_set(bits)
+        match_set = self.population.match_set(encode_environment(snapshot, theme_id))
         action, prediction = self.population.select_action(match_set, explore_prob)
         return action, prediction, self.population.action_set(match_set, action)
 

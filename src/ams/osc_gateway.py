@@ -161,11 +161,8 @@ def _category(value) -> str:
 
 
 def _theme_id(value) -> int:
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass  # rejected below as not an integer
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)  # any other string is rejected below as not an integer
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < THEME_IDS:
         raise ValueError(f"expected an integer in [0, {THEME_IDS - 1}], got {value!r}")
     return value

@@ -1,16 +1,17 @@
 """Accuracy-based learning classifier system (XCS), single-step variant.
 
-Ternary-condition rules over fixed-length bit strings map inputs to one of
-a small set of actions.  Classifiers track prediction, absolute prediction
-error and relative-accuracy fitness; a niche genetic algorithm runs on
-action sets with subsumption, and deletion keeps total numerosity under a
-population cap.
+Ternary-condition rules over CONDITION_LENGTH-bit inputs map each input to
+one of a small set of actions.  Classifiers track prediction, absolute
+prediction error and relative-accuracy fitness; a niche genetic algorithm
+runs on action sets with subsumption, and deletion keeps total numerosity
+under a population cap.
 
-A classifier's condition string is compiled to two integers when the
-classifier is built: `care`, with a 1 at every specified ("0" or "1")
-position, and `value`, the specified bits.  An input x (the bit string
-read as a binary number, first symbol most significant) matches when
-`x & care == value`, and generality is compared by mask arithmetic.
+An input is an int in [0, 2**CONDITION_LENGTH).  A condition is two ints:
+`care`, with a 1 at every specified position, and `value`, the specified
+bits (0 wherever `care` is 0); a 0 in `care` is the wildcard "#" of the
+ternary alphabet.  Input x matches when `x & care == value`.  Position i,
+counted from the first, is bit CONDITION_LENGTH - 1 - i: covering and
+mutation visit the positions first to last, and crossover cuts between them.
 
 Unlike Butz & Wilson (2001): (a) `update` moves the error before the
 prediction, so the error reads the prediction from before the update;
@@ -23,10 +24,9 @@ input's bit; (e) parents are chosen by tournament, not roulette wheel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CONDITION_LENGTH = 18
-WILDCARD = "#"
 N_ACTIONS = 8                   # covering fills every action (theta_mna)
 TOURNAMENT_FRACTION = 0.4
 FITNESS_PENALTY_FRACTION = 0.1  # low-fitness deletion penalty cutoff
@@ -45,7 +45,7 @@ class XcsParams:
     accuracy_scale: float = 0.1         # alpha
     ga_threshold: float = 25.0          # theta_GA
     crossover_prob: float = 0.8         # chi
-    mutation_prob: float = 0.04         # mu, per condition symbol
+    mutation_prob: float = 0.04         # mu, per condition position
     wildcard_prob: float = 0.33         # P# during covering
     deletion_threshold: int = 20        # theta_del
     init_prediction: float = 0.01
@@ -75,7 +75,8 @@ class XcsParams:
 
 @dataclass
 class Classifier:
-    condition: str
+    care: int   # 1 at each specified position
+    value: int  # the specified bits
     action: int
     prediction: float
     error: float
@@ -84,16 +85,6 @@ class Classifier:
     numerosity: int = 1
     action_set_size: float = 1.0
     ga_timestamp: int = 0
-    # the condition compiled at construction: care bits and their values
-    care: int = field(init=False, repr=False, compare=False)
-    value: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.care = int(self.condition.replace("0", "1").replace(WILDCARD, "0"), 2)
-        self.value = int(self.condition.replace(WILDCARD, "0"), 2)
-
-    def matches(self, bits: str) -> bool:
-        return int(bits, 2) & self.care == self.value
 
     def is_more_general(self, other: "Classifier") -> bool:
         """This matches every input `other` matches, and has more
@@ -120,28 +111,25 @@ class XcsPopulation:
     def total_numerosity(self) -> int:
         return sum(cl.numerosity for cl in self.classifiers)
 
-    def _validate_input(self, bits: str) -> None:
-        if len(bits) != CONDITION_LENGTH or any(b not in "01" for b in bits):
-            raise XcsError(f"input must be {CONDITION_LENGTH} bits, got {bits!r}")
-
     # -- match and covering -------------------------------------------------
 
-    def match_set(self, bits: str) -> list[Classifier]:
-        """All classifiers matching the input, covering missing actions until
+    def match_set(self, x: int) -> list[Classifier]:
+        """All classifiers matching input x, covering missing actions until
         all N_ACTIONS are present."""
-        self._validate_input(bits)
-        x = int(bits, 2)
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < 1 << CONDITION_LENGTH:
+            raise XcsError(f"input must be an int in [0, 2**{CONDITION_LENGTH}), got {x!r}")
         self.time += 1
         matches = [cl for cl in self.classifiers if x & cl.care == cl.value]
         while len({cl.action for cl in matches}) < N_ACTIONS:
             covered = {cl.action for cl in matches}
             missing = [a for a in range(N_ACTIONS) if a not in covered]
             action = missing[0]
-            condition = "".join(
-                WILDCARD if self.rng.random() < self.params.wildcard_prob else b
-                for b in bits)
+            care = 0
+            for _ in range(CONDITION_LENGTH):
+                care = care << 1 | (self.rng.random() >= self.params.wildcard_prob)
             cl = Classifier(
-                condition=condition,
+                care=care,
+                value=x & care,
                 action=action,
                 prediction=self.params.init_prediction,
                 error=self.params.init_error,
@@ -229,29 +217,39 @@ class XcsPopulation:
 
         parent_a = self._tournament(action_set)
         parent_b = self._tournament(action_set)
-        child_a, child_b = list(parent_a.condition), list(parent_b.condition)
+        care_a, value_a = parent_a.care, parent_a.value
+        care_b, value_b = parent_b.care, parent_b.value
 
         if self.rng.random() < self.params.crossover_prob:
             x = self.rng.randrange(CONDITION_LENGTH + 1)
             y = self.rng.randrange(CONDITION_LENGTH + 1)
             lo, hi = min(x, y), max(x, y)
-            child_a[lo:hi], child_b[lo:hi] = child_b[lo:hi], child_a[lo:hi]
+            # positions lo..hi-1 trade places
+            cut = ((1 << (hi - lo)) - 1) << (CONDITION_LENGTH - hi)
+            care_a, care_b = care_a & ~cut | care_b & cut, care_b & ~cut | care_a & cut
+            value_a, value_b = value_a & ~cut | value_b & cut, value_b & ~cut | value_a & cut
             prediction = (parent_a.prediction + parent_b.prediction) / 2
             error = (parent_a.error + parent_b.error) / 2
             fitness = (parent_a.fitness + parent_b.fitness) / 2
-            seeds = [(child_a, prediction, error, fitness),
-                     (child_b, prediction, error, fitness)]
+            seeds = [(care_a, value_a, prediction, error, fitness),
+                     (care_b, value_b, prediction, error, fitness)]
         else:
-            seeds = [(child_a, parent_a.prediction, parent_a.error, parent_a.fitness),
-                     (child_b, parent_b.prediction, parent_b.error, parent_b.fitness)]
+            seeds = [(care_a, value_a, parent_a.prediction, parent_a.error, parent_a.fitness),
+                     (care_b, value_b, parent_b.prediction, parent_b.error, parent_b.fitness)]
 
-        for condition, prediction, error, fitness in seeds:
-            for i, symbol in enumerate(condition):
+        for care, value, prediction, error, fitness in seeds:
+            for shift in reversed(range(CONDITION_LENGTH)):
                 if self.rng.random() < self.params.mutation_prob:
-                    condition[i] = WILDCARD if symbol != WILDCARD else \
-                        self.rng.choice("01")
+                    # a specified position becomes a wildcard, a wildcard a random bit
+                    bit = 1 << shift
+                    if care & bit:
+                        value &= ~bit
+                    else:
+                        value |= self.rng.choice((0, 1)) << shift
+                    care ^= bit
             child = Classifier(
-                condition="".join(condition),
+                care=care,
+                value=value,
                 action=parent_a.action,
                 prediction=prediction,
                 error=error,
@@ -279,14 +277,15 @@ class XcsPopulation:
         for parent in parents:
             if (parent.action == child.action and self._could_subsume(parent)
                     and (parent.is_more_general(child)
-                         or parent.condition == child.condition)):
+                         or parent.care == child.care and parent.value == child.value)):
                 parent.numerosity += 1
                 return
         self._insert(child)
 
     def _insert(self, child: Classifier) -> None:
         for cl in self.classifiers:
-            if cl.condition == child.condition and cl.action == child.action:
+            if (cl.care == child.care and cl.value == child.value
+                    and cl.action == child.action):
                 cl.numerosity += child.numerosity
                 return
         self.classifiers.append(child)

@@ -188,21 +188,21 @@ def test_07_span_table():
 def test_08_environment_encoding():
     snap = AffectSnapshot(happiness=10, excitement=80, anger=0,
                           sadness=30, tenderness=0, threat=60)
-    assert encode_environment(snap, 5) == "001100010010" + "000101"
-    assert encode_environment(AffectSnapshot(happiness=25), 0)[:2] == "01"
-    assert encode_environment(AffectSnapshot(happiness=75), 0)[:2] == "11"
+    assert encode_environment(snap, 5) == 0b001100010010_000101
+    assert encode_environment(AffectSnapshot(happiness=25), 0) >> 16 == 0b01
+    assert encode_environment(AffectSnapshot(happiness=75), 0) >> 16 == 0b11
     print("PASS 8: 18-bit encoding worked example and bin boundaries")
 
 
 def test_09_xcs_convergence():
     pop = XcsPopulation(XcsParams(), random.Random(11))
-    bits = "010010110001000011"
+    x = 0b010010110001000011
     for _ in range(4000):
-        match = pop.match_set(bits)
+        match = pop.match_set(x)
         action, _ = pop.select_action(match, 0.25)
         pop.update(pop.action_set(match, action), 0.1 * action)
     for _ in range(1000):
-        match = pop.match_set(bits)
+        match = pop.match_set(x)
         action, prediction = pop.select_action(match)
         assert action == 7
         assert abs(prediction - 0.7) < 0.05

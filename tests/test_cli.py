@@ -83,7 +83,12 @@ def test_parse_trace_unknown_type():
     '"type": "affect", "category": "threat", "level": 500',
     '"type": "theme", "concept": "sword", "theme_id": 999',
     '"type": "edge", "a": "sword", "level": 0.5',
-], ids=["kind", "mode", "level", "theme_id", "missing_field"])
+    # a theme id string is ASCII digits, though int() reads each of these
+    *('"type": "theme", "concept": "sword", "theme_id": ' + json.dumps(theme_id)
+      for theme_id in (" 3", "+3", "0_3", "\u0663", "3\n", "-0")),
+], ids=["kind", "mode", "level", "theme_id", "missing_field", "theme_id_space",
+        "theme_id_sign", "theme_id_separator", "theme_id_arabic_indic", "theme_id_newline",
+        "theme_id_minus_zero"])
 def test_parse_trace_rejects_what_osc_rejects(event):
     with pytest.raises(TraceError, match=r"^t\.jsonl:2: "):
         parse_trace('{"t_ms": 0, "type": "affect", "category": "threat", "level": 1}\n'

@@ -616,6 +616,21 @@ def test_hot_objects_without_a_themed_vertex_start_no_search(monkeypatch):
     assert engine.graph.vertices["o0"].theme is None
 
 
+def test_hot_objects_beside_an_unloaded_theme_start_no_search(monkeypatch):
+    # 63 is a valid theme id that no bundled theme file defines
+    engine = make_engine()
+    assert 63 not in engine.themes
+    for i in range(100):
+        engine.queue.put(ActivateConcept(f"o{i}", "object", 90.0, "set"))
+    engine.queue.put(AssignTheme("o0", 63))
+    calls = _count_calls(monkeypatch, ConceptGraph, "nearest_themed")
+    for _ in range(3):
+        engine.tick()
+    assert len(engine.graph.edges) == 100 * 99 // 2
+    assert calls == []
+    assert len(engine.themes) == len(make_engine().themes)
+
+
 def test_nothing_evolves_once_every_theme_id_is_taken(monkeypatch):
     def full_engine():
         engine = make_engine()

@@ -153,14 +153,17 @@ def test_reward_prefers_matching_density():
 
 def test_encoding_length_and_theme_bits():
     snap = AffectSnapshot()
-    assert encode_environment(snap, 63) == "0" * 12 + "111111"
+    assert encode_environment(snap, 63) == 0b111111
+    assert encode_environment(AffectSnapshot(100, 100, 100, 100, 100, 100), 0) == \
+        (1 << CONDITION_LENGTH) - (1 << 6)
     with pytest.raises(Exception):
         encode_environment(snap, 64)
 
 
 def test_encoding_is_the_classifier_input_and_operators_are_its_actions():
     for theme_id in (0, THEME_IDS - 1):
-        assert len(encode_environment(AffectSnapshot(), theme_id)) == CONDITION_LENGTH
+        x = encode_environment(AffectSnapshot(), theme_id)
+        assert type(x) is int and 0 <= x < 1 << CONDITION_LENGTH
     assert len(OPERATORS) == N_ACTIONS
 
 
@@ -168,11 +171,12 @@ def test_encoding_is_the_classifier_input_and_operators_are_its_actions():
 @given(st.floats(min_value=0, max_value=100, allow_nan=False),
        st.integers(min_value=0, max_value=63))
 def test_encoding_bins_are_monotone(level, theme_id):
-    bits = encode_environment(AffectSnapshot(happiness=level), theme_id)
-    assert len(bits) == 18
-    expected = "00" if level < 25 else "01" if level < 50 else "10" if level < 75 else "11"
-    assert bits[:2] == expected
-    assert bits[12:] == format(theme_id, "06b")
+    x = encode_environment(AffectSnapshot(happiness=level), theme_id)
+    assert 0 <= x < 1 << 18
+    expected = 0 if level < 25 else 1 if level < 50 else 2 if level < 75 else 3
+    assert x >> 16 == expected  # happiness, the first affect, in the top bits
+    assert x & 0b111111 == theme_id
+    assert x >> 6 & 0b1111111111 == 0  # the other affects at zero
 
 
 # -- style score and range ---------------------------------------------------

@@ -76,6 +76,18 @@ def test_out_of_range_level_is_skipped():
     assert decode_packet(bad) == []
 
 
+# strings int() reads as a number; a theme id string is ASCII digits only
+LOOSE_THEME_IDS = [" 3", "+3", "0_3", "\u0663", "3\n", "-0"]
+
+
+@pytest.mark.parametrize("theme_id", LOOSE_THEME_IDS)
+def test_theme_id_string_of_other_than_ascii_digits_is_skipped(theme_id):
+    packet = message_to_osc(AssignTheme("wolf", 3))
+    assert packet.endswith(ams.osc_gateway._pad_string("3"))
+    bad = packet[:-4] + ams.osc_gateway._pad_string(theme_id)
+    assert decode_packet(bad) == []
+
+
 def test_structural_garbage_raises_with_offset():
     with pytest.raises(OscDecodeError) as err:
         decode_packet(b"/ams/edge\x00\x00\x00no-comma\x00\x00\x00\x00")
