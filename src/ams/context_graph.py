@@ -3,12 +3,16 @@
 A weighted undirected graph of affect, object and environment vertices.
 Activation spreads one hop per tick from the pre-tick state, edges are
 inferred from co-activation above 50, and both activations and inferred
-edge weights fade over time.
+edge weights fade over time.  No activation exceeds MAX_LEVEL: a message
+clamps at it, and a tick never raises one past it.
 
 The state lives in numpy arrays, so a tick costs a fixed handful of array
-operations plus work in proportion to what changed.  Vertex indices follow
-insertion order, with the six affect vertices first (index i is
-AFFECT_CATEGORIES[i]).  Edge slots are dense, explicit edges first: an
+operations plus work in proportion to what changed.  Co-activation boosts
+land on the inferred block just before it fades, as one dense vector with
+0.0 for every edge that is not boosted, and the fade needs no clamp at 0:
+a weight it takes below 0 is below the removal threshold, and is pruned
+in the same tick.  Vertex indices follow insertion order, with the six
+affect vertices first (index i is AFFECT_CATEGORIES[i]).  Edge slots are dense, explicit edges first: an
 edge's provenance is its slot's position, and the inferred edges fade as
 one slice.  Each edge is stored in both directions, so that one gather and
 one scatter spread activation along all of them: slot s owns directed
@@ -159,10 +163,14 @@ class ConceptGraph:
         self._weights = np.zeros(2 * _INITIAL_CAPACITY)
         self._n_explicit = 0  # explicit edges hold slots 0..E-1
         # every _set_edge and _remove_edge bumps the structure version,
-        # which keys the hot-pair cache
+        # which keys the tick's cached views and boost vector
         self._version = 0
+        self._views_key: tuple[int, int] | None = None
+        self._views: tuple[np.ndarray, ...] = ()
+        self._fade_ms = 0  # the dt_ms that _fades were computed for
+        self._fades = (0.0, 0.0)
         self._hot_key: tuple[bytes, int] | None = None
-        self._hot_directed = np.zeros(0, dtype=np.intp)
+        self._boost: np.ndarray | None = None  # per inferred directed entry
 
         self.vertices: Mapping[str, Vertex] = _Snapshots(self._index, self._vertex)
         self.edges: Mapping[tuple[str, str], Edge] = _Snapshots(self._slots, self._edge)
@@ -296,10 +304,12 @@ class ConceptGraph:
             raise GraphError(f"unknown message {msg!r}")
 
     def _activate(self, index: int, level: float, mode: str) -> None:
+        """Both modes clamp at MAX_LEVEL, so no activation exceeds it
+        between ticks."""
         current = self._activation.item(index)
         if mode == "set":
-            self._activation[index] = max(current, level)
-        else:  # add clamps at 100
+            self._activation[index] = min(MAX_LEVEL, max(current, level))
+        else:
             self._activation[index] = min(MAX_LEVEL, current + level)
         self._last_activated[index] = self.clock
 
@@ -313,68 +323,104 @@ class ConceptGraph:
         offers are `activation * weight` and a vertex keeps the larger of
         its activation and its offers, taken edge by edge in slot order,
         a -> b before b -> a; boosts are `min(1, w + boost)`; fades are
-        `min(100, max(0, a - fade))` and `max(0, w - fade)`.  An explicit
-        weight of -0.0 offers -0.0, which `max(0, a - fade)` turns back
-        into 0.0 before the tick ends.
+        `min(100, max(0, a - fade))` and `max(0, w - fade)`, less the two
+        clamps that cannot change a value the tick keeps (below).  An
+        explicit weight of -0.0 offers -0.0, which `max(0, a - fade)`
+        turns back into 0.0 before the tick ends.
+
+        No activation exceeds MAX_LEVEL between ticks: `_activate` clamps
+        at it, and an offer is an activation times a weight of at most 1,
+        so the vertex fade needs no `min(100, ...)`.  The inferred block is
+        boosted just before it fades, as one add of the walk's boost
+        vector and one `min(1, ...)`; the vector holds 0.0 for every edge
+        that is not boosted, which leaves each weight that survives the
+        tick as it was.  The edge fade takes no
+        `max(0, ...)`: every surviving inferred weight is at least
+        EDGE_REMOVAL_THRESHOLD, so a weight the clamp would change is
+        below it and is pruned in the same tick.
 
         The offers are gathered before inference boosts a weight, and the
         hot set is read before the offers land, so both see the pre-tick
         state without a copy of it."""
         if dt_ms <= 0:
             raise GraphError("dt_ms must be positive")
-        activation = self._activation[:len(self.ids)]
-        n = 2 * len(self._slots)
-        offers = activation[self._sources[:n]] * self._weights[:n]
-        self._infer_edges(activation)
-        np.maximum.at(activation, self._targets[:n], offers)
+        activation, concepts, sources, targets, weights, _ = self._tick_views()
+        offers = activation[sources] * weights
+        boost = self._infer_edges(concepts)
+        np.maximum.at(activation, targets, offers)
 
         # fading
-        vertex_fade = self.params.vertex_fade_per_s * dt_ms / 1000.0
+        if dt_ms != self._fade_ms:
+            self._fade_ms = dt_ms
+            self._fades = (self.params.vertex_fade_per_s * dt_ms / 1000.0,
+                           self.params.edge_fade_per_s * dt_ms / 1000.0)
+        vertex_fade, edge_fade = self._fades
         np.subtract(activation, vertex_fade, out=activation)
         np.maximum(activation, 0.0, out=activation)
-        np.minimum(activation, MAX_LEVEL, out=activation)
-        explicit = self._n_explicit
-        if explicit < len(self._slots):  # with the edges inferred above
-            edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
-            weights = self._weights[2 * explicit:2 * len(self._slots)]
-            np.subtract(weights, edge_fade, out=weights)
-            np.maximum(weights, 0.0, out=weights)
-            if weights.item(weights.argmin()) < EDGE_REMOVAL_THRESHOLD:
-                doomed = (weights[::2] < EDGE_REMOVAL_THRESHOLD).nonzero()[0] + explicit
+        inferred = self._tick_views()[-1]  # with the edges inferred above
+        if len(inferred):
+            if boost is not None:
+                np.add(inferred, boost, out=inferred)
+                np.minimum(inferred, 1.0, out=inferred)
+            np.subtract(inferred, edge_fade, out=inferred)
+            if inferred.item(inferred.argmin()) < EDGE_REMOVAL_THRESHOLD:
+                explicit = self._n_explicit
+                doomed = (inferred[::2] < EDGE_REMOVAL_THRESHOLD).nonzero()[0] + explicit
                 # every pair before the first removal, which moves the last slot
                 for ia, ib in self._sources.reshape(-1, 2)[doomed].tolist():
                     self._remove_edge(ia, ib)
 
         self.clock += dt_ms
 
-    def _infer_edges(self, activation: np.ndarray) -> None:
-        """Edge inference between co-activated concept (non-affect) vertices:
-        every hot pair without an edge gets an inferred one, and every
-        inferred edge of a hot pair is boosted in both directions.  The
-        boosted entries are cached until the hot set or the structure
-        changes."""
-        hot = (activation[N_AFFECT:] > CO_ACTIVATION_THRESHOLD).nonzero()[0]
+    def _tick_views(self) -> tuple[np.ndarray, ...]:
+        """The arrays a tick reads, as views: the activations, those of the
+        concept (non-affect) vertices, and the sources, targets and weights
+        of every directed entry and the weights of the inferred block.
+        Kept until the structure or the vertex count changes, which is
+        also when an array is replaced by a grown one."""
+        key = (self._version, len(self.ids))
+        if key != self._views_key:
+            n = 2 * len(self._slots)
+            activation = self._activation[:len(self.ids)]
+            self._views = (activation, activation[N_AFFECT:], self._sources[:n],
+                           self._targets[:n], self._weights[:n],
+                           self._weights[2 * self._n_explicit:n])
+            self._views_key = key
+        return self._views
+
+    def _infer_edges(self, concepts: np.ndarray) -> np.ndarray | None:
+        """Edge inference between co-activated concept vertices, given
+        their activations: every hot pair without an edge gets an inferred
+        one, and every inferred edge of a hot pair is boosted in both
+        directions.  Returns the boost vector over the inferred block's
+        directed entries (None: nothing to boost), which the walk caches
+        until the hot set or the structure changes."""
+        hot = (concepts > CO_ACTIVATION_THRESHOLD).nonzero()[0]
         if len(hot) < 2:
-            return
+            return None
         key = (hot.tobytes(), self._version)
         if key != self._hot_key:
             hot = (hot + N_AFFECT).tolist()
-            directed = []
+            explicit = self._n_explicit
+            rows = []
             for n, i in enumerate(hot):
                 neighbours = self._adjacency[i]
                 for j in hot[n + 1:]:
                     slot = neighbours.get(j)
                     if slot is None:
                         self._set_edge(i, j, self.params.inferred_edge_weight, explicit=False)
-                    elif slot >= self._n_explicit:
-                        directed += (2 * slot, 2 * slot + 1)
-            self._hot_directed = np.array(directed, dtype=np.intp)
+                    elif slot >= explicit:
+                        rows.append(slot - explicit)
+            self._boost = None
+            if rows:
+                # after the walk, so that edges it created get a 0.0 entry
+                boost = np.zeros((len(self._slots) - explicit, 2))
+                boost[rows] = self.params.co_activation_boost
+                self._boost = boost.reshape(-1)
             # an edge created here is boosted from the next tick on, so a
             # walk that created one is not cached
             self._hot_key = key if self._version == key[1] else None
-        if len(self._hot_directed):
-            boosted = self._weights[self._hot_directed] + self.params.co_activation_boost
-            self._weights[self._hot_directed] = np.minimum(boosted, 1.0)
+        return self._boost
 
     # -- queries ------------------------------------------------------------
 

@@ -48,6 +48,14 @@ def test_add_mode_clamps_at_100():
     assert g.vertices["threat"].activation == 100.0
 
 
+def test_set_mode_clamps_at_100():
+    g = ConceptGraph()
+    g.apply_message(ActivateConcept("a", "object", 150.0, "set"))
+    g.apply_message(SetAffect("threat", 150.0, "set"))
+    assert g.vertices["a"].activation == 100.0
+    assert g.affect_snapshot().threat == 100.0
+
+
 def test_spread_is_one_hop_per_tick():
     g = no_fade()
     g.apply_message(ActivateConcept("a", "object", 80.0, "set"))

@@ -65,6 +65,7 @@ class ReferenceGraph:
         self._adjacency = {}
         self.pruned = 0
         self.boosted = 0
+        self.saturated = 0  # boosts that min(1.0, ...) cut back to 1.0
         self.taken = Counter()  # (from, to) -> offers that raised an activation
         # offers of -0.0 to a vertex at 0.0, which the arrays make and the
         # scalar rule skips
@@ -140,7 +141,7 @@ class ReferenceGraph:
 
     def _activate(self, vertex, level, mode):
         if mode == "set":
-            vertex.activation = max(vertex.activation, level)
+            vertex.activation = min(100.0, max(vertex.activation, level))
         else:
             vertex.activation = min(100.0, vertex.activation + level)
         vertex.last_activated = self.clock
@@ -178,8 +179,10 @@ class ReferenceGraph:
                 if edge is None:
                     self._set_edge(a, b, self.params.inferred_edge_weight, explicit=False)
                 elif not edge.explicit:
-                    edge.weight = min(1.0, edge.weight + self.params.co_activation_boost)
+                    boosted = edge.weight + self.params.co_activation_boost
+                    edge.weight = min(1.0, boosted)
                     self.boosted += 1
+                    self.saturated += boosted > 1.0
         vertex_fade = self.params.vertex_fade_per_s * dt_ms / 1000.0
         edge_fade = self.params.edge_fade_per_s * dt_ms / 1000.0
         for vertex in self.vertices.values():
@@ -305,7 +308,7 @@ def run_both(params, ops):
 
 
 NAMES = ("a", "b", "c", "d", "e", "Threat", "happiness")
-LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 25.0, 50.0, 50.5, 60.0, 80.0, 100.0]),
+LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 25.0, 50.0, 50.5, 60.0, 80.0, 100.0, 150.0]),
                    st.floats(0.0, 100.0))
 WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 0.005, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 MODES = st.sampled_from(["set", "add"])
@@ -373,6 +376,15 @@ EXPLICIT_AMONG_INFERRED = (hot("a", "b", "c", level=51.0)
 # the same three inferred edges; b-c, in slot 2, is made explicit and
 # swaps with a-b in slot 0, which is then pruned with a-c
 PROMOTE_INFERRED = hot("a", "b", "c", level=51.0) + [30, SetEdge("c", "b", 0.2), 30, 30, 30]
+# a and b are hot for one tick, inferring a-b in slot 0; c and d then stay
+# hot, and c-d, inferred in slot 1, is boosted every tick from the next.
+# a-b is pruned on the fourth tick, and c-d moves into slot 0 while the
+# hot set stays {c, d}, so its boost follows it only if the boost vector
+# is rebuilt after the prune
+PRUNE_MOVES_BOOSTED = hot("a", "b", level=51.0) + [30] + hot("c", "d", level=100.0) + [30] * 5
+# a and b stay hot and never fade: a-b is boosted from 0.5 past 1.0, and
+# stays at exactly 1.0 for the ticks after
+BOOST_SATURATES = hot("a", "b") + [30] * 10
 
 # two themed objects at the same distance: the smaller id pops first,
 # whatever the insertion order
@@ -394,6 +406,8 @@ EDGE_BOTH_WAYS = [SetEdge("b", "a", 0.2), 30, SetEdge("a", "b", 0.7), 30]
 @example(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
 @example(FAST_EDGE_FADE, EXPLICIT_AMONG_INFERRED)
 @example(FAST_EDGE_FADE, PROMOTE_INFERRED)
+@example(FAST_EDGE_FADE, PRUNE_MOVES_BOOSTED)
+@example(NO_FADE, BOOST_SATURATES)
 @example(NO_FADE, EDGE_BOTH_WAYS)
 @given(PARAMS, st.lists(OPS, max_size=40))
 def test_array_graph_matches_reference(params, ops):
@@ -435,6 +449,15 @@ def test_examples_reach_the_cases_they_name():
     reference = run_both(FAST_EDGE_FADE, PROMOTE_INFERRED)
     assert reference.pruned == 2
     assert reference.edges == {("b", "c"): _Edge("b", "c", 0.2, True)}
+
+    reference = run_both(FAST_EDGE_FADE, PRUNE_MOVES_BOOSTED)
+    assert reference.pruned == 1 and list(reference.edges) == [("c", "d")]
+    assert reference.boosted == 4  # two boosts before the prune, two after
+    assert not reference.edges[("c", "d")].explicit
+
+    reference = run_both(NO_FADE, BOOST_SATURATES)
+    assert reference.saturated >= 3
+    assert reference.edges[("a", "b")].weight == 1.0
 
     reference = run_both(NO_FADE, EDGE_BOTH_WAYS)
     assert list(reference.vertices)[len(AFFECT_CATEGORIES):] == ["b", "a"]
