@@ -18,6 +18,7 @@ from .melody import (
     MelodyAgent,
     Note,
     OPERATOR_NAMES,
+    OperatorError,
     Proposal,
     RangeConstraint,
     admissible_transpositions,
@@ -68,6 +69,8 @@ class Engine:
                                            h_min=config.h_min))
 
         self.matrix = ResourceMatrix()
+        # (theme, operator) -> the phrase, or the failed operator's message
+        self._phrases: dict[tuple[MelodicFragment, int], MelodicFragment | str] = {}
         self.chord_history: list[ChordSymbol] = []
         self.cycle_index = 0
         self.cycle_log: list[dict] = []
@@ -143,6 +146,24 @@ class Engine:
 
     # -- composition --------------------------------------------------------
 
+    def _phrase(self, theme: MelodicFragment, operator: int) -> MelodicFragment:
+        """`apply_operator(theme, operator)`, run once per (theme, operator):
+        the phrase is kept, and with it the facts it computes once (see
+        `MelodicFragment`); a failure is kept as its message and raised
+        afresh on each call.  The themes are the engine's, so the memo holds
+        at most THEME_IDS x len(OPERATORS) phrases."""
+        key = (theme, operator)
+        phrase = self._phrases.get(key)
+        if phrase is None:
+            try:
+                phrase = apply_operator(theme, operator)
+            except OperatorError as exc:
+                phrase = str(exc)
+            self._phrases[key] = phrase
+        if isinstance(phrase, str):
+            raise OperatorError(phrase)
+        return phrase
+
     def composition_cycle(self, snapshot: AffectSnapshot,
                           theme_id: int) -> dict:
         """Compose one two-measure block; returns the decision log record.
@@ -185,7 +206,7 @@ class Engine:
         # the lead voice decides before leader election
         lead_agent = self.agents[0]
         lead = lead_agent.prepare(theme, snapshot, theme_id, config.explore_prob,
-                                  apply_operator)
+                                  self._phrase)
         melody_confidence = lead.estimated_reward / config.reward_max
         constraint1 = RangeConstraint(*config.agent_range(1))
         if isinstance(lead, Abstention) or harmony_confidence >= melody_confidence:
@@ -232,7 +253,7 @@ class Engine:
                 lo = max(lo, lower_anchor)
             proposal = agent.propose(theme, snapshot, theme_id, self.matrix,
                                      config.style, n_agents, RangeConstraint(lo, hi),
-                                     config.explore_prob, apply_operator)
+                                     config.explore_prob, self._phrase)
             record, notes = self._settle(agent, proposal, snapshot, block_start)
             agent_records.append(record)
             if notes:
@@ -285,7 +306,7 @@ class Engine:
             }, ()
         config = self.config
         realized = placed_fragment(outcome.fragment, outcome.transposition, outcome.time_shift)
-        self.matrix.consume(realized)
+        self.matrix.consume(outcome.fragment, outcome.transposition, outcome.time_shift)
         track = self.melody_tracks[agent.agent_id - 1]
         for note in realized.notes:
             track.add(ScoreNote(note.pitch, block_start + note.onset,

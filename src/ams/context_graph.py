@@ -78,6 +78,13 @@ AffectSnapshot = namedtuple("AffectSnapshot", AFFECT_CATEGORIES, defaults=(0.0,)
 AffectSnapshot.__doc__ = "Affect activations, one field per AFFECT_CATEGORIES entry."
 
 
+def _scalar(value: float) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array."""
+    scalar = np.array(value, dtype=np.float64)
+    scalar.flags.writeable = False
+    return scalar
+
+
 def _grown(array: np.ndarray, fill=0) -> np.ndarray:
     """`array` at twice its length; the new entries are `fill`."""
     bigger = np.full(2 * len(array), fill, dtype=array.dtype)
@@ -167,10 +174,20 @@ class ConceptGraph:
         self._version = 0
         self._views_key: tuple[int, int] | None = None
         self._views: tuple[np.ndarray, ...] = ()
-        self._fade_ms = 0  # the dt_ms that _fades were computed for
-        self._fades = (0.0, 0.0)
-        self._hot_key: tuple[bytes, int] | None = None
+        # the tick's ufunc scalars as 0-d arrays, which a ufunc takes without
+        # converting: the co-activation threshold, 0.0, 1.0, and the vertex
+        # and edge fades for _fade_ms
+        self._threshold, self._zero, self._one = (
+            _scalar(v) for v in (CO_ACTIVATION_THRESHOLD, 0.0, 1.0))
+        self._fade_ms = 0
+        self._fades = (self._zero, self._zero)
+        self._hot_key: tuple[bytes, int] | None = None  # hot mask, structure version
         self._boost: np.ndarray | None = None  # per inferred directed entry
+        # the boost vector as a (k, 2) block over the inferred edges, the
+        # structure version it was sized for, and the rows the walk set
+        self._boost_block = np.zeros((0, 2))
+        self._boost_version = -1
+        self._boost_rows = np.zeros(0, dtype=np.intp)
 
         self.vertices: Mapping[str, Vertex] = _Snapshots(self._index, self._vertex)
         self.edges: Mapping[tuple[str, str], Edge] = _Snapshots(self._slots, self._edge)
@@ -352,16 +369,16 @@ class ConceptGraph:
         # fading
         if dt_ms != self._fade_ms:
             self._fade_ms = dt_ms
-            self._fades = (self.params.vertex_fade_per_s * dt_ms / 1000.0,
-                           self.params.edge_fade_per_s * dt_ms / 1000.0)
+            self._fades = (_scalar(self.params.vertex_fade_per_s * dt_ms / 1000.0),
+                           _scalar(self.params.edge_fade_per_s * dt_ms / 1000.0))
         vertex_fade, edge_fade = self._fades
         np.subtract(activation, vertex_fade, out=activation)
-        np.maximum(activation, 0.0, out=activation)
+        np.maximum(activation, self._zero, out=activation)
         inferred = self._tick_views()[-1]  # with the edges inferred above
         if len(inferred):
             if boost is not None:
                 np.add(inferred, boost, out=inferred)
-                np.minimum(inferred, 1.0, out=inferred)
+                np.minimum(inferred, self._one, out=inferred)
             np.subtract(inferred, edge_fade, out=inferred)
             if inferred.item(inferred.argmin()) < EDGE_REMOVAL_THRESHOLD:
                 explicit = self._n_explicit
@@ -393,33 +410,40 @@ class ConceptGraph:
         their activations: every hot pair without an edge gets an inferred
         one, and every inferred edge of a hot pair is boosted in both
         directions.  Returns the boost vector over the inferred block's
-        directed entries (None: nothing to boost), which the walk caches
-        until the hot set or the structure changes."""
-        hot = (concepts > CO_ACTIVATION_THRESHOLD).nonzero()[0]
+        directed entries (None: nothing to boost), which the walk caches,
+        keyed by the hot mask, until the hot set or the structure changes.
+        While the structure is unchanged, a new walk rewrites only the rows
+        of the kept vector that the last walk and this one boost."""
+        hot_mask = np.greater(concepts, self._threshold)
+        key = (hot_mask.tobytes(), self._version)
+        if key == self._hot_key:
+            return self._boost
+        hot = hot_mask.nonzero()[0]
         if len(hot) < 2:
             return None
-        key = (hot.tobytes(), self._version)
-        if key != self._hot_key:
-            hot = (hot + N_AFFECT).tolist()
-            explicit = self._n_explicit
-            rows = []
-            for n, i in enumerate(hot):
-                neighbours = self._adjacency[i]
-                for j in hot[n + 1:]:
-                    slot = neighbours.get(j)
-                    if slot is None:
-                        self._set_edge(i, j, self.params.inferred_edge_weight, explicit=False)
-                    elif slot >= explicit:
-                        rows.append(slot - explicit)
-            self._boost = None
-            if rows:
-                # after the walk, so that edges it created get a 0.0 entry
-                boost = np.zeros((len(self._slots) - explicit, 2))
-                boost[rows] = self.params.co_activation_boost
-                self._boost = boost.reshape(-1)
-            # an edge created here is boosted from the next tick on, so a
-            # walk that created one is not cached
-            self._hot_key = key if self._version == key[1] else None
+        hot = (hot + N_AFFECT).tolist()
+        explicit = self._n_explicit
+        rows = []
+        for n, i in enumerate(hot):
+            neighbours = self._adjacency[i]
+            for j in hot[n + 1:]:
+                slot = neighbours.get(j)
+                if slot is None:
+                    self._set_edge(i, j, self.params.inferred_edge_weight, explicit=False)
+                elif slot >= explicit:
+                    rows.append(slot - explicit)
+        if self._boost_version == self._version:
+            self._boost_block[self._boost_rows] = 0.0
+        else:
+            # after the walk, so that edges it created get a 0.0 entry
+            self._boost_block = np.zeros((len(self._slots) - explicit, 2))
+            self._boost_version = self._version
+        self._boost_rows = np.array(rows, dtype=np.intp)
+        self._boost_block[self._boost_rows] = self.params.co_activation_boost
+        self._boost = self._boost_block.reshape(-1) if rows else None
+        # an edge created here is boosted from the next tick on, so a walk
+        # that created one is not cached
+        self._hot_key = key if self._version == key[1] else None
         return self._boost
 
     # -- queries ------------------------------------------------------------

@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .context_graph import AffectSnapshot
-from .harmonic_context import ResourceMatrix
+from .harmonic_context import ResourceMatrix, fitness_index, phrase_cells
 from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, MEASURE_TICKS, MIDI_MAX, TICKS_PER_CELL, TICKS_PER_QUARTER
 from .xcs import XcsPopulation
@@ -29,6 +32,8 @@ STYLE_RANGE_FACTORS = {"jazz": 1.0, "pop": 0.8, "rock": 0.8, "folk": 0.7}
 DEFAULT_REWARD_GATE = 0.6
 DEFAULT_H_MIN = 0.5
 TRANSPOSITION_LIMIT = 24
+# (t, t % 12) for each transposition t the search tries, ascending
+TRANSPOSITIONS = tuple((t, t % 12) for t in range(-TRANSPOSITION_LIMIT, TRANSPOSITION_LIMIT + 1))
 THEME_BITS = (THEME_IDS - 1).bit_length()  # of the theme id in the classifier input
 MAX_FRAGMENT_MEASURES = 4
 
@@ -69,6 +74,12 @@ class Key:
 
 @dataclass(frozen=True)
 class MelodicFragment:
+    """A phrase.  The facts the placement search and the resource matrix
+    read, which depend on the phrase alone, are computed at their first
+    read and kept with it (read-only where they are arrays): its pitch
+    bounds, its P at each style and agent count, its cells and its
+    fitness-grid gather index."""
+
     notes: tuple[Note, ...]
     length_measures: int  # 1..MAX_FRAGMENT_MEASURES
     key: Key
@@ -86,6 +97,39 @@ class MelodicFragment:
         if not self.notes:
             return 0
         return max(n.onset + n.duration for n in self.notes)
+
+    @cached_property
+    def pitch_bounds(self) -> tuple[int, int]:
+        """(lowest, highest) pitch; the phrase has notes."""
+        pitches = [n.pitch for n in self.notes]
+        return min(pitches), max(pitches)
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """`harmonic_context.phrase_cells` of this phrase."""
+        return phrase_cells(self)
+
+    @cached_property
+    def fitness_index(self) -> np.ndarray:
+        """`harmonic_context.fitness_index` of this phrase."""
+        return fitness_index(self)
+
+    @cached_property
+    def _style_scores(self) -> dict[tuple[str, int], tuple[float, float]]:
+        return {}
+
+    def style_scores(self, style: str, n_agents: int) -> tuple[float, float]:
+        """P (`style_score`) of this phrase starting on the beat and off it,
+        for `style` and `n_agents`."""
+        scores = self._style_scores.get((style, n_agents))
+        if scores is None:
+            # P depends on tempo-free quantities only (n_b, o_b), so any
+            # tempo works here; a shift changes only o_b
+            features = compute_features(self, 120.0)
+            scores = tuple(style_score(replace(features, off_beat_start=o), style, n_agents)
+                           for o in (0, 1))
+            self._style_scores[(style, n_agents)] = scores
+        return scores
 
 
 def _length_from_span(span: int, fallback: int) -> int:
@@ -274,10 +318,8 @@ def admissible_transpositions(fragment: MelodicFragment,
         return []
     if -(-fragment.span_ticks // TICKS_PER_CELL) > ResourceMatrix.region_cells:
         return []
-    lo = min(n.pitch for n in fragment.notes)
-    hi = max(n.pitch for n in fragment.notes)
-    return [t for t in range(-TRANSPOSITION_LIMIT, TRANSPOSITION_LIMIT + 1)
-            if constraint.allows(lo + t, hi + t)]
+    lo, hi = fragment.pitch_bounds
+    return [t for t, _pc in TRANSPOSITIONS if constraint.allows(lo + t, hi + t)]
 
 
 @dataclass
@@ -348,28 +390,27 @@ class MelodyAgent:
         """
         if not fragment.notes:
             return None
-        # P depends on tempo-free quantities only (n_b, o_b), so any tempo
-        # works here; a shift changes only o_b, the first onset's beat position
-        features = compute_features(fragment, 120.0)
-        p_by_off_beat = [style_score(replace(features, off_beat_start=o), style, n_agents)
-                         for o in (0, 1)]
-        lo = min(n.pitch for n in fragment.notes)
-        hi = max(n.pitch for n in fragment.notes)
+        lo, hi = fragment.pitch_bounds
+        p_on_beat, p_off_beat = fragment.style_scores(style, n_agents)
+        first_onset = fragment.notes[0].onset
+        allows = constraint.allows
 
-        best: tuple[float, int, int, float, float] | None = None
+        best_m, best = -math.inf, None
         for shift, fitness_by_pc in enumerate(matrix.fitness_by_transposition(fragment).tolist()):
-            off_beat = (fragment.notes[0].onset + shift * TICKS_PER_CELL) % TICKS_PER_QUARTER != 0
-            p_score = p_by_off_beat[off_beat]
-            for transposition in range(-TRANSPOSITION_LIMIT, TRANSPOSITION_LIMIT + 1):
-                if not constraint.allows(lo + transposition, hi + transposition):
+            if (first_onset + shift * TICKS_PER_CELL) % TICKS_PER_QUARTER:
+                p_score = p_off_beat
+            else:
+                p_score = p_on_beat
+            for transposition, pc in TRANSPOSITIONS:
+                if not allows(lo + transposition, hi + transposition):
                     continue
-                h_score = fitness_by_pc[transposition % 12]
-                m_score = h_score + p_score
-                if best is None or m_score > best[0]:
-                    best = (m_score, transposition, shift, h_score, p_score)
-        if best is None or best[3] < self.h_min:
+                m_score = fitness_by_pc[pc] + p_score
+                if m_score > best_m:
+                    best_m = m_score
+                    best = (transposition, shift, fitness_by_pc[pc], p_score)
+        if best is None or best[2] < self.h_min:
             return None
-        return best[1:]
+        return best
 
     def prepare(self, theme: MelodicFragment, snapshot: AffectSnapshot,
                 theme_id: int, explore_prob: float = 0.0,
@@ -403,10 +444,10 @@ def placed_fragment(fragment: MelodicFragment, transposition: int,
     """The phrase as it sounds: transposed by `transposition` semitones, key
     included, and shifted by `time_shift` cells."""
     ticks = time_shift * TICKS_PER_CELL
-    notes = tuple(replace(n, pitch=n.pitch + transposition, onset=n.onset + ticks)
+    notes = tuple(Note(n.pitch + transposition, n.onset + ticks, n.duration, n.velocity)
                   for n in fragment.notes)
     key = Key((fragment.key.tonic + transposition) % 12, fragment.key.mode)
-    return replace(fragment, notes=notes, key=key)
+    return MelodicFragment(notes, fragment.length_measures, key)
 
 
 def realize_reward(snapshot: AffectSnapshot, realized: MelodicFragment,

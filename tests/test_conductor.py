@@ -1,6 +1,7 @@
 """Engine loop: cycle records, determinism, theme evolution, timing."""
 
 import json
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -353,6 +354,133 @@ def test_replay_realizes_each_committed_placement_once(monkeypatch):
                     for agent in record["agents"] if not agent["abstained"])
     assert committed > 0
     assert calls[0] == committed
+
+
+BUNDLED_TRACES = ("happiness_plateau", "mixed_session", "sadness_plateau", "threat_ramp")
+
+
+def _replay(engine, trace):
+    events = parse_trace((ASSET_ROOT / "traces" / f"{trace}.jsonl").read_text())
+    engine.run(events[-1][0] + int(2 * engine.block_ms), message_feed=trace_feed(events))
+
+
+def _output_bytes(engine):
+    cycle_log = "".join(json.dumps(r, sort_keys=True) + "\n" for r in engine.cycle_log)
+    return score_to_midi_bytes(engine.score()), cycle_log.encode()
+
+
+def test_each_phrase_is_made_once_per_engine(monkeypatch):
+    """The engine's memo runs `apply_operator` once per distinct (theme,
+    operator); a second engine makes its own phrases."""
+    calls = _count_calls(monkeypatch, conductor, "apply_operator")
+    config = load_config(ASSET_ROOT / "demo.cfg")
+    for trace in BUNDLED_TRACES:
+        per_engine = []
+        for _ in range(2):
+            calls.clear()
+            engine = build_engine(config)
+            _replay(engine, trace)
+            keys = list(calls)  # (theme, operator) per run
+            assert len(keys) == len(set(keys)) == len(engine._phrases)
+            # turns past the reward gate apply an operator
+            turns = sum(1 for record in engine.cycle_log for agent in record["agents"]
+                        if agent.get("reason") != "gate")
+            assert turns > len(keys)
+            per_engine.append(keys)
+        assert per_engine[0] == per_engine[1]
+
+
+def test_a_failed_operator_runs_once_and_abstains_every_cycle(monkeypatch):
+    calls = []
+
+    def failing_operator(theme, operator):
+        calls.append((theme, operator))
+        raise OperatorError("forced")
+
+    monkeypatch.setattr(conductor, "apply_operator", failing_operator)
+    engine = make_engine()
+    for _ in range(8):
+        record = engine.compose_block()
+        assert [(a["agent"], a["reason"]) for a in record["agents"]] == [
+            (1, "operator"), (2, "operator"), (3, "operator")]
+    assert len(calls) == len(set(calls)) < 8 * 3
+    # each hit raises a fresh exception, so no traceback grows across raises
+    theme, operator = calls[0]
+    raised = []
+    for _ in range(2):
+        with pytest.raises(OperatorError, match="forced") as info:
+            engine._phrase(theme, operator)
+        raised.append(info.value)
+    assert raised[0] is not raised[1]
+    assert len(calls) == len(set(calls))
+
+
+def _run_in_turns(engines, trace):
+    """Replay `trace` on each engine in one process, one composed block at a
+    time in turn: each engine runs `Engine.run` in its own thread, and only
+    the thread whose turn it is runs."""
+    events = parse_trace((ASSET_ROOT / "traces" / f"{trace}.jsonl").read_text())
+    n = len(engines)
+    turn = threading.Condition()
+    state = {"next": 0, "done": set(), "errors": []}
+
+    def pass_turn(i):
+        with turn:
+            state["next"] = next((j % n for j in range(i + 1, i + n + 1)
+                                  if j % n not in state["done"]), None)
+            turn.notify_all()
+
+    def wait_turn(i):
+        with turn:
+            turn.wait_for(lambda: state["next"] == i)
+
+    def worker(i):
+        engine = engines[i]
+
+        def on_block(_record):
+            pass_turn(i)
+            wait_turn(i)
+
+        wait_turn(i)
+        try:
+            engine.run(events[-1][0] + int(2 * engine.block_ms),
+                       message_feed=trace_feed(events), on_block=on_block)
+        except Exception as exc:  # surfaced below
+            state["errors"].append(exc)
+        finally:
+            state["done"].add(i)
+            pass_turn(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert not state["errors"], state["errors"]
+
+
+@pytest.mark.parametrize("trace", ["mixed_session", "threat_ramp"])
+def test_engines_composing_in_turns_match_each_alone(trace):
+    """Two engines from one config, composing block by block in turn, give
+    the bytes each gives alone: no phrase state is shared between engines
+    or changed by composing, and every kept array is read-only."""
+    config = load_config(ASSET_ROOT / "demo.cfg")
+    alone = build_engine(config)
+    _replay(alone, trace)
+    expected = _output_bytes(alone)
+    engines = [build_engine(config) for _ in range(2)]
+    _run_in_turns(engines, trace)
+    for engine in engines:
+        assert _output_bytes(engine) == expected
+        phrases = [p for p in engine._phrases.values() if isinstance(p, MelodicFragment)]
+        assert phrases
+        for phrase in phrases:
+            for array in (*phrase.cells, phrase.fitness_index):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+    assert not set(map(id, engines[0]._phrases.values())) & set(
+        map(id, engines[1]._phrases.values()))
 
 
 def test_chord_candidates_are_bounded_by_the_vocabulary():

@@ -204,11 +204,13 @@ placements = st.tuples(
 @given(st.integers(0, 2**32 - 1), st.lists(st.one_of(blocks, placements), max_size=8))
 def test_extend_and_consume_match_the_per_cell_loops(seed, steps):
     """Bitwise-equal cells after any sequence of extends and consumes,
-    from arbitrary cell values (subnormals included, where halving rounds)."""
-    ours, theirs = ResourceMatrix(), ResourceMatrix()
+    from arbitrary cell values (subnormals included, where halving rounds).
+    A consume takes the placed phrase, or the unplaced one and its
+    placement, as the engine passes it."""
+    ours, theirs, offset = ResourceMatrix(), ResourceMatrix(), ResourceMatrix()
     cells = np.random.default_rng(seed).random((12, ResourceMatrix.region_cells))
     cells[cells < 0.1] *= 1e-310
-    ours.cells, theirs.cells = cells.copy(), cells.copy()
+    ours.cells, theirs.cells, offset.cells = cells.copy(), cells.copy(), cells.copy()
     for step in steps:
         if isinstance(step, tuple):
             try:
@@ -216,9 +218,13 @@ def test_extend_and_consume_match_the_per_cell_loops(seed, steps):
             except HarmonyError:  # ran past the region
                 with pytest.raises(HarmonyError):
                     ours.consume(placed_fragment(*step))
+                with pytest.raises(HarmonyError):
+                    offset.consume(*step)
                 continue
             ours.consume(placed_fragment(*step))
+            offset.consume(*step)
         else:
             reference_extend(theirs, step)
             ours.extend(step)
-        assert ours.cells.tobytes() == theirs.cells.tobytes()
+            offset.extend(step)
+        assert ours.cells.tobytes() == theirs.cells.tobytes() == offset.cells.tobytes()

@@ -177,3 +177,26 @@ def test_grid_search_matches_the_per_shift_loop(matrix, fragment, style, n_agent
     assert repr(found) == repr(expected)
     assert ours.calls == theirs.calls
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(fragments(), st.lists(st.tuples(matrices(), st.sampled_from(["jazz", "pop", "rock", "folk"]),
+                                       st.integers(1, 6), pitch_bounds, pitch_bounds),
+                             min_size=2, max_size=4))
+def test_a_phrase_searched_again_reads_facts_of_its_own(fragment, searches):
+    """One phrase searched on several matrices, styles, agent counts and
+    ranges gives what a fresh copy of it gives each time: the facts it
+    keeps (pitch bounds, P per style and agent count, cells, gather index)
+    depend on the phrase alone."""
+    agent = MelodyAgent(1, XcsPopulation(), h_min=0.0)
+    for matrix, style, n_agents, low, high in searches:
+        fresh = MelodicFragment(fragment.notes, fragment.length_measures, fragment.key)
+        constraint = RangeConstraint(low, high)
+        try:
+            expected = agent.search_placement(fresh, matrix, style, n_agents, constraint)
+        except HarmonyError:
+            with pytest.raises(HarmonyError):
+                agent.search_placement(fragment, matrix, style, n_agents, constraint)
+            continue
+        found = agent.search_placement(fragment, matrix, style, n_agents, constraint)
+        assert repr(found) == repr(expected)
