@@ -1,4 +1,4 @@
-"""The engine loop: 30ms graph ticks, two-measure composition cycles,
+"""The engine loop: fixed-length graph ticks, two-measure composition cycles,
 harmony/melody leader election, voice ordering, XCS reward feedback and
 score assembly."""
 
@@ -56,7 +56,7 @@ class Engine:
         self.themes = themes
         self.chord_model = chord_model
         self.queue = MessageQueue()
-        self.graph = ConceptGraph(config.graph)
+        self.graph = ConceptGraph(config.graph, config.tick_ms)
         rng = random.Random(config.seed)
         self.percussion_rng = random.Random(rng.randrange(2**32))
         self.evolution_rng = random.Random(rng.randrange(2**32))
@@ -71,7 +71,7 @@ class Engine:
         self.matrix = ResourceMatrix()
         # (theme, operator) -> the phrase, or the failed operator's message
         self._phrases: dict[tuple[MelodicFragment, int], MelodicFragment | str] = {}
-        self.chord_history: list[ChordSymbol] = []
+        self.chord_history: list[ChordSymbol] = []  # the last `chord_model.order`
         self.cycle_index = 0
         self.cycle_log: list[dict] = []
         self._checked: set[int] = set()  # object vertex indices checked for evolution
@@ -108,9 +108,10 @@ class Engine:
                 log.warning("rejecting message %r: %s", msg, exc)
 
     def tick(self) -> None:
+        """Ingest, evolve themes, then tick the graph: `time_ms` advances by `config.tick_ms`."""
         self.ingest()
         self._maybe_evolve_themes()
-        self.graph.tick(self.config.tick_ms)
+        self.graph.tick()
 
     def _maybe_evolve_themes(self) -> None:
         """Evolve a theme for each unthemed object in `graph.first_edges`
@@ -189,16 +190,14 @@ class Engine:
         span_limit = max_range(n_agents, config.style, config.range_factors)
         block_start = self.cycle_index * BLOCK_TICKS
 
-        # the model reads at most `order` tokens, which as many chords cover
-        history = self.chord_history[-self.chord_model.order:]
         n_ranks = min(config.top_chord_ranks, len(self.chord_model.chord_vocabulary))
         if n_ranks == 0:
             raise ConductorError("chord model produced no candidates")
 
         def continuation(rank: int) -> tuple[list[ChordSymbol], float]:
-            first, conf_first = self.chord_model.next_chord(history, config.style, rank)
+            first, conf_first = self.chord_model.next_chord(self.chord_history, config.style, rank)
             second, conf_second = self.chord_model.next_chord(
-                history + [first], config.style, 1)
+                self.chord_history + [first], config.style, 1)
             return [first, second], (conf_first + conf_second) / 2.0
 
         chords, harmony_confidence = continuation(1)
@@ -231,7 +230,8 @@ class Engine:
             self.matrix.extend(chords)
         if not isinstance(lead, Abstention):
             lead = lead.placed(found)
-        self.chord_history.extend(chords)
+        # the model reads at most `order` tokens, which as many chords cover
+        self.chord_history = (self.chord_history + chords)[-self.chord_model.order:]
 
         record1, voice1_notes = self._settle(lead_agent, lead, snapshot, block_start)
         agent_records = [record1]

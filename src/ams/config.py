@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .chord_model import STYLES
-from .context_graph import GraphError, GraphParams
+from .context_graph import DEFAULT_TICK_MS, GraphError, GraphParams
 from .melody import DEFAULT_H_MIN, DEFAULT_REWARD_GATE, STYLE_RANGE_FACTORS
 from .osc_gateway import THEME_IDS
 from .render import BEATS_PER_MEASURE, BLOCK_TICKS, MIDI_MAX, MIN_TEMPO_BPM, TICKS_PER_QUARTER
@@ -38,7 +38,7 @@ class EngineConfig:
     style: str = "jazz"
     melody_agents: int = 3
     seed: int = 0
-    tick_ms: int = 30
+    tick_ms: int = DEFAULT_TICK_MS
     reward_gate: float = DEFAULT_REWARD_GATE
     h_min: float = DEFAULT_H_MIN
     reward_max: float = 1.2

@@ -45,6 +45,7 @@ CO_ACTIVATION_THRESHOLD = 50.0
 EDGE_REMOVAL_THRESHOLD = 0.01
 
 N_AFFECT = len(AFFECT_CATEGORIES)
+DEFAULT_TICK_MS = 30  # the engine's step, `engine.tick_ms`
 _INITIAL_CAPACITY = 64
 
 
@@ -146,13 +147,17 @@ class ConceptGraph:
     read-only list; `vertices` (id -> Vertex, in index order) and `edges`
     (sorted endpoint pair -> Edge, in creation order) are read-only
     mappings whose values are snapshots as of their lookup; the graph
-    changes only through `apply_message` and `tick`.  `first_edges` lists,
-    in order, each vertex index a new edge took from no edge to one; its
+    changes only through `apply_message` and `tick`, which advances `clock`
+    by `tick_ms`, fixed when the graph is built.  `first_edges` lists, in
+    order, each vertex index a new edge took from no edge to one; its
     reader clears it.
     """
 
-    def __init__(self, params: GraphParams | None = None):
+    def __init__(self, params: GraphParams | None = None, tick_ms: int = DEFAULT_TICK_MS):
+        if tick_ms <= 0:
+            raise GraphError("tick_ms must be positive")
         self.params = params or GraphParams()
+        self.tick_ms = tick_ms
         self.clock = 0  # ms
         # per vertex index
         self.ids: list[str] = []
@@ -176,11 +181,11 @@ class ConceptGraph:
         self._views: tuple[np.ndarray, ...] = ()
         # the tick's ufunc scalars as 0-d arrays, which a ufunc takes without
         # converting: the co-activation threshold, 0.0, 1.0, and the vertex
-        # and edge fades for _fade_ms
-        self._threshold, self._zero, self._one = (
-            _scalar(v) for v in (CO_ACTIVATION_THRESHOLD, 0.0, 1.0))
-        self._fade_ms = 0
-        self._fades = (self._zero, self._zero)
+        # and edge fades per tick
+        self._threshold, self._zero, self._one, self._vertex_fade, self._edge_fade = (
+            _scalar(v) for v in (CO_ACTIVATION_THRESHOLD, 0.0, 1.0,
+                                 self.params.vertex_fade_per_s * tick_ms / 1000.0,
+                                 self.params.edge_fade_per_s * tick_ms / 1000.0))
         self._hot_key: tuple[bytes, int] | None = None  # hot mask, structure version
         self._boost: np.ndarray | None = None  # per inferred directed entry
         # the boost vector as a (k, 2) block over the inferred edges, the
@@ -332,9 +337,10 @@ class ConceptGraph:
 
     # -- tick ---------------------------------------------------------------
 
-    def tick(self, dt_ms: int) -> None:
-        """One engine step: one-hop spread from the pre-tick snapshot, edge
-        inference at co-activation > 50, then fading.
+    def tick(self) -> None:
+        """One engine step of `tick_ms`: one-hop spread from the pre-tick
+        snapshot, edge inference at co-activation > 50, then fading by
+        `tick_ms` worth of each fade rate.
 
         Every step takes the scalar rules' IEEE operations in their order:
         offers are `activation * weight` and a vertex keeps the larger of
@@ -359,27 +365,20 @@ class ConceptGraph:
         The offers are gathered before inference boosts a weight, and the
         hot set is read before the offers land, so both see the pre-tick
         state without a copy of it."""
-        if dt_ms <= 0:
-            raise GraphError("dt_ms must be positive")
         activation, concepts, sources, targets, weights, _ = self._tick_views()
         offers = activation[sources] * weights
         boost = self._infer_edges(concepts)
         np.maximum.at(activation, targets, offers)
 
         # fading
-        if dt_ms != self._fade_ms:
-            self._fade_ms = dt_ms
-            self._fades = (_scalar(self.params.vertex_fade_per_s * dt_ms / 1000.0),
-                           _scalar(self.params.edge_fade_per_s * dt_ms / 1000.0))
-        vertex_fade, edge_fade = self._fades
-        np.subtract(activation, vertex_fade, out=activation)
+        np.subtract(activation, self._vertex_fade, out=activation)
         np.maximum(activation, self._zero, out=activation)
         inferred = self._tick_views()[-1]  # with the edges inferred above
         if len(inferred):
             if boost is not None:
                 np.add(inferred, boost, out=inferred)
                 np.minimum(inferred, self._one, out=inferred)
-            np.subtract(inferred, edge_fade, out=inferred)
+            np.subtract(inferred, self._edge_fade, out=inferred)
             if inferred.item(inferred.argmin()) < EDGE_REMOVAL_THRESHOLD:
                 explicit = self._n_explicit
                 doomed = (inferred[::2] < EDGE_REMOVAL_THRESHOLD).nonzero()[0] + explicit
@@ -387,7 +386,7 @@ class ConceptGraph:
                 for ia, ib in self._sources.reshape(-1, 2)[doomed].tolist():
                     self._remove_edge(ia, ib)
 
-        self.clock += dt_ms
+        self.clock += self.tick_ms
 
     def _tick_views(self) -> tuple[np.ndarray, ...]:
         """The arrays a tick reads, as views: the activations, those of the

@@ -132,10 +132,9 @@ class MelodicFragment:
         return scores
 
 
-def _length_from_span(span: int, fallback: int) -> int:
-    if span <= 0:
-        return fallback
-    return max(1, -(-span // MEASURE_TICKS))
+def _length_from_span(span: int) -> int:
+    """Whole measures covering `span` ticks; every caller's span is >= 1."""
+    return -(-span // MEASURE_TICKS)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +157,7 @@ def _scale_time(fragment: MelodicFragment, factor: float) -> MelodicFragment:
         if duration < 1:
             raise OperatorError("diminished note shorter than one tick")
         notes.append(replace(n, onset=onset, duration=duration))
-    length = _length_from_span(max(n.onset + n.duration for n in notes),
-                               fragment.length_measures)
+    length = _length_from_span(max(n.onset + n.duration for n in notes))
     if length > MAX_FRAGMENT_MEASURES:
         raise OperatorError(f"augmented fragment exceeds {MAX_FRAGMENT_MEASURES} measures")
     return replace(fragment, notes=tuple(notes), length_measures=length)
@@ -518,5 +516,5 @@ def evolve_theme(parent_a: MelodicFragment, parent_b: MelodicFragment,
     if not mutated:
         mutated = list(first.notes)
     mutated.sort(key=lambda n: (n.onset, n.pitch))
-    length = _length_from_span(max(n.onset + n.duration for n in mutated), 1)
+    length = _length_from_span(max(n.onset + n.duration for n in mutated))
     return MelodicFragment(tuple(mutated), length, first.key)

@@ -44,31 +44,31 @@ def test_01_spread_arithmetic():
     g.apply_message(ActivateConcept("a", "object", 50.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 0.0, "set"))
     g.apply_message(SetEdge("a", "b", 0.25))
-    g.tick(30)
+    g.tick()
     assert g.vertices["b"].activation == 12.5
 
     g2 = _no_fade_graph()
     g2.apply_message(ActivateConcept("a", "object", 50.0, "set"))
     g2.apply_message(ActivateConcept("b", "object", 40.0, "set"))
     g2.apply_message(SetEdge("a", "b", 0.25))
-    g2.tick(30)
+    g2.tick()
     assert g2.vertices["b"].activation == 40.0
     print("PASS 1: spread arithmetic (50 x 0.25 -> 12.5, no downgrade at 40)")
 
 
 def test_02_fading_rates():
-    g = ConceptGraph()
+    g = ConceptGraph(tick_ms=30)
     g.apply_message(ActivateConcept("a", "object", 100.0, "set"))
     for _ in range(1000):  # 30 s of 30 ms ticks
-        g.tick(30)
+        g.tick()
     assert abs(g.vertices["a"].activation - 97.0) < 1e-9
 
-    g2 = ConceptGraph()
+    g2 = ConceptGraph(tick_ms=30)
     g2.apply_message(ActivateConcept("a", "object", 0.0, "set"))
     g2.apply_message(ActivateConcept("b", "object", 0.0, "set"))
     g2._set_edge(g2.ids.index("a"), g2.ids.index("b"), 0.5, explicit=False)
     for _ in range(1000):
-        g2.tick(30)
+        g2.tick()
     assert abs(g2.edges[("a", "b")].weight - 0.2) < 1e-9
     print("PASS 2: fading (100 -> 97.0 vertex, 0.5 -> 0.2 inferred edge over 30 s)")
 
@@ -320,6 +320,6 @@ def _min_tick_s(graph: ConceptGraph, n_ticks: int) -> float:
     ticks = []
     for _ in range(n_ticks):
         start = time.perf_counter()
-        graph.tick(30)
+        graph.tick()
         ticks.append(time.perf_counter() - start)
     return min(ticks)

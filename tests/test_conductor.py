@@ -65,8 +65,13 @@ def test_cycle_record_structure(ran_engine):
             assert agent_record["reason"] in ("gate", "operator", "search")
 
 
-def test_chord_history_grows_two_per_cycle(ran_engine):
-    assert len(ran_engine.chord_history) == 2 * ran_engine.cycle_index
+def test_chord_history_holds_the_last_order_chords(ran_engine):
+    """Two chords per cycle, of which the engine keeps the last `order`,
+    as many as the model reads."""
+    order = ran_engine.chord_model.order
+    played = [chord for record in ran_engine.cycle_log for chord in record["chords"]]
+    assert len(played) == 2 * ran_engine.cycle_index > order
+    assert [str(chord) for chord in ran_engine.chord_history] == played[-order:]
 
 
 def test_voice_ordering(ran_engine):
@@ -335,6 +340,22 @@ def test_engine_time_is_the_graph_clock():
     assert engine.time_ms == engine.graph.clock == 3 * engine.config.tick_ms
     with pytest.raises(AttributeError):
         engine.time_ms = 0
+
+
+def test_engine_ticks_at_its_configured_length():
+    """The graph is built with `config.tick_ms`: each tick advances the
+    clock by it and fades a vertex by that many ms of its fade rate."""
+    engine = make_engine(tick_ms=20, graph=GraphParams(vertex_fade_per_s=0.5))
+    engine.queue.put(ActivateConcept("torch", "object", 80.0, "set"))
+    fade = 0.5 * 20 / 1000
+    engine.tick()
+    activation = engine.graph.vertices["torch"].activation
+    assert (engine.time_ms, activation) == (20, 80.0 - fade)
+    for ticks in range(2, 5):
+        engine.tick()
+        assert engine.time_ms == 20 * ticks
+        expected = activation - (ticks - 1) * fade
+        assert engine.graph.vertices["torch"].activation == pytest.approx(expected)
 
 
 def test_replay_realizes_each_committed_placement_once(monkeypatch):

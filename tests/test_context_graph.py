@@ -61,10 +61,10 @@ def test_spread_is_one_hop_per_tick():
     g.apply_message(ActivateConcept("a", "object", 80.0, "set"))
     g.apply_message(SetEdge("a", "b", 0.5))
     g.apply_message(SetEdge("b", "c", 0.5))
-    g.tick(30)
+    g.tick()
     assert g.vertices["b"].activation == 40.0
     assert g.vertices["c"].activation == 0.0  # reaches c only on the next tick
-    g.tick(30)
+    g.tick()
     assert g.vertices["c"].activation == 20.0
 
 
@@ -73,7 +73,7 @@ def test_spread_uses_pre_tick_snapshot():
     g.apply_message(ActivateConcept("a", "object", 100.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 100.0, "set"))
     g.apply_message(SetEdge("a", "b", 0.9))
-    g.tick(30)
+    g.tick()
     assert g.vertices["a"].activation == 100.0
     assert g.vertices["b"].activation == 100.0
 
@@ -113,11 +113,11 @@ def test_edge_inference_and_boost():
     g = ConceptGraph(params)
     g.apply_message(ActivateConcept("a", "object", 60.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 70.0, "set"))
-    g.tick(30)
+    g.tick()
     edge = g.edges[("a", "b")]
     assert not edge.explicit
     assert edge.weight == 0.5
-    g.tick(30)
+    g.tick()
     assert g.edges[("a", "b")].weight == pytest.approx(0.6)
 
 
@@ -128,13 +128,13 @@ def test_vertex_and_edge_reads_are_snapshots():
     g.apply_message(ActivateConcept("a", "object", 60.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 70.0, "set"))
     g.apply_message(AssignTheme("a", 3))
-    g.tick(30)  # infers a-b at 0.5, then fades it
+    g.tick()  # infers a-b at 0.5, then fades it
     vertex, edge = g.vertices["a"], g.edges[("a", "b")]
     assert (vertex.id, vertex.kind, vertex.theme, vertex.last_activated) == (
         "a", VertexKind.OBJECT, 3, 0)
     assert (edge.a, edge.b, edge.explicit) == ("a", "b", False)
     activation, weight = vertex.activation, edge.weight
-    g.tick(30)  # fades a, boosts a-b by 0.1
+    g.tick()  # fades a, boosts a-b by 0.1
     assert (vertex.activation, edge.weight) == (activation, weight)
     assert g.vertices["a"].activation < activation
     assert g.edges[("a", "b")].weight > weight
@@ -144,25 +144,31 @@ def test_no_inference_at_or_below_50():
     g = no_fade()
     g.apply_message(ActivateConcept("a", "object", 50.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 50.0, "set"))
-    g.tick(30)
+    g.tick()
     assert ("a", "b") not in g.edges
 
 
 def test_inferred_edge_removed_below_threshold():
-    g = ConceptGraph()
+    g = ConceptGraph(tick_ms=30)
     g.apply_message(ActivateConcept("a", "object", 0.0, "set"))
     g.apply_message(ActivateConcept("b", "object", 0.0, "set"))
     g._set_edge(g.ids.index("a"), g.ids.index("b"), 0.011, explicit=False)
     for _ in range(10):  # 0.3 s -> fades 0.003, under the 0.01 floor
-        g.tick(30)
+        g.tick()
     assert ("a", "b") not in g.edges
+
+
+@pytest.mark.parametrize("tick_ms", [0, -30])
+def test_tick_length_must_be_positive(tick_ms):
+    with pytest.raises(GraphError, match="tick_ms must be positive"):
+        ConceptGraph(tick_ms=tick_ms)
 
 
 def test_explicit_edges_never_fade():
     g = ConceptGraph()
     g.apply_message(SetEdge("a", "b", 0.4))
     for _ in range(100):
-        g.tick(30)
+        g.tick()
     assert g.edges[("a", "b")].weight == 0.4
 
 

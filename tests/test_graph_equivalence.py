@@ -285,14 +285,19 @@ def assert_same(graph, reference):
                 assert graph.nearest_themed(vid, k) == reference.nearest_themed(vid, k)
 
 
-def run_both(params, ops):
+# an op: one tick, of the length the graph was built with
+TICK = "tick"
+
+
+def run_both(params, tick_ms, ops):
     """Apply `ops` to both graphs, comparing them after every tick; returns
-    the reference, which counts the prunes and boosts it made."""
-    graph, reference = ConceptGraph(params), ReferenceGraph(params)
+    the reference, which counts the prunes and boosts it made.  The array
+    graph is built with `tick_ms`; the reference takes it on every tick."""
+    graph, reference = ConceptGraph(params, tick_ms), ReferenceGraph(params)
     for op in ops:
-        if isinstance(op, int):
-            graph.tick(op)
-            reference.tick(op)
+        if op is TICK:
+            graph.tick()
+            reference.tick(tick_ms)
             assert_same(graph, reference)
             continue
         outcomes = []
@@ -319,8 +324,9 @@ OPS = st.one_of(
     st.builds(SetAffect, st.sampled_from(AFFECT_CATEGORIES + ("fear",)), LEVELS, MODES),
     st.builds(SetEdge, st.sampled_from(NAMES), st.sampled_from(NAMES), WEIGHTS),
     st.builds(AssignTheme, st.sampled_from(NAMES), st.integers(0, 3)),
-    st.sampled_from([30, 30, 30, 1000]),
+    st.just(TICK),
 )
+TICK_MS = st.sampled_from([1, 20, 30, 1000])
 PARAMS = st.builds(
     GraphParams,
     vertex_fade_per_s=st.sampled_from([0.0, 0.1, 50.0]),
@@ -340,126 +346,126 @@ def hot(*names, level=60.0):
 
 # a and b are hot for one tick; their inferred edge then fades 0.15 a
 # tick, below the removal threshold on the fourth
-PRUNE = hot("a", "b", level=51.0) + [30, 30, 30, 30]
+PRUNE = hot("a", "b", level=51.0) + [TICK, TICK, TICK, TICK]
 # an explicit edge replaces the inferred one, which then neither fades
 # nor is boosted
-EXPLICIT_OVER_INFERRED = hot("a", "b") + [30, 30, SetEdge("b", "a", 0.2), 30, 30]
+EXPLICIT_OVER_INFERRED = hot("a", "b") + [TICK, TICK, SetEdge("b", "a", 0.2), TICK, TICK]
 # a, b, c hot; d joins, then c (at 52) and d (at 53.5) fade out of the hot
 # set while the inferred edges among them keep being boosted
-HOT_SET_CHANGES = (hot("a", "b") + hot("c", level=52.0) + [30, 30]
-                   + hot("d", level=53.5) + [30, 30, 30, 30, 30])
+HOT_SET_CHANGES = (hot("a", "b") + hot("c", level=52.0) + [TICK, TICK]
+                   + hot("d", level=53.5) + [TICK, TICK, TICK, TICK, TICK])
 # themed objects tied on activation, broken by recency and then by id
 DOMINANT_TIES = [AssignTheme("b", 1), AssignTheme("a", 2), AssignTheme("c", 3),
-                 *hot("b", "a"), 30, *hot("c", level=10.0), 30, 30,
-                 SetEdge("a", "d", 1.0), AssignTheme("d", 0), 30]
+                 *hot("b", "a"), TICK, *hot("c", level=10.0), TICK, TICK,
+                 SetEdge("a", "d", 1.0), AssignTheme("d", 0), TICK]
 
 # an explicit weight of -0.0 offers -0.0 to vertices at 0.0, which the
 # spread leaves at -0.0 until the fade turns them back into 0.0
 NEGATIVE_ZERO_OFFER = [ActivateConcept("a", "object", 0.0, "set"),
                        ActivateConcept("a", "object", 0.0, "set"),
                        SetEdge("a", "b", -0.0),
-                       ActivateConcept("a", "object", 0.0, "set"), 30]
+                       ActivateConcept("a", "object", 0.0, "set"), TICK]
 # the inferred a-b edge (slot 0) is pruned on the fourth tick, and the
 # explicit c-d edge moves from the last slot into its place; c and d stay
 # at 0 until then, so every offer along c-d, in either direction, is
 # spread from the moved slot
 PRUNE_MOVES_EXPLICIT = (hot("a", "b", level=51.0)
-                        + [30, SetEdge("c", "d", 0.5), 30, 30, 30,
-                           ActivateConcept("c", "object", 40.0, "set"), 30,
-                           ActivateConcept("d", "object", 80.0, "set"), 30])
+                        + [TICK, SetEdge("c", "d", 0.5), TICK, TICK, TICK,
+                           ActivateConcept("c", "object", 40.0, "set"), TICK,
+                           ActivateConcept("d", "object", 80.0, "set"), TICK])
 # a, b and c are hot for one tick, inferring a-b, a-c and b-c in slots 0-2;
 # the explicit d-e edge then takes slot 0, moving a-b to the end, and
 # carries d's activation once all three inferred edges are pruned
 EXPLICIT_AMONG_INFERRED = (hot("a", "b", "c", level=51.0)
-                           + [30, SetEdge("d", "e", 0.5), 30, 30, 30,
-                              ActivateConcept("d", "object", 80.0, "set"), 30])
+                           + [TICK, SetEdge("d", "e", 0.5), TICK, TICK, TICK,
+                              ActivateConcept("d", "object", 80.0, "set"), TICK])
 # the same three inferred edges; b-c, in slot 2, is made explicit and
 # swaps with a-b in slot 0, which is then pruned with a-c
-PROMOTE_INFERRED = hot("a", "b", "c", level=51.0) + [30, SetEdge("c", "b", 0.2), 30, 30, 30]
+PROMOTE_INFERRED = hot("a", "b", "c", level=51.0) + [TICK, SetEdge("c", "b", 0.2), TICK, TICK, TICK]
 # a and b are hot for one tick, inferring a-b in slot 0; c and d then stay
 # hot, and c-d, inferred in slot 1, is boosted every tick from the next.
 # a-b is pruned on the fourth tick, and c-d moves into slot 0 while the
 # hot set stays {c, d}, so its boost follows it only if the boost vector
 # is rebuilt after the prune
-PRUNE_MOVES_BOOSTED = hot("a", "b", level=51.0) + [30] + hot("c", "d", level=100.0) + [30] * 5
+PRUNE_MOVES_BOOSTED = hot("a", "b", level=51.0) + [TICK] + hot("c", "d", level=100.0) + [TICK] * 5
 # a and b stay hot and never fade: a-b is boosted from 0.5 past 1.0, and
 # stays at exactly 1.0 for the ticks after
-BOOST_SATURATES = hot("a", "b") + [30] * 10
+BOOST_SATURATES = hot("a", "b") + [TICK] * 10
 
 # two themed objects at the same distance: the smaller id pops first,
 # whatever the insertion order
 NEAREST_TIES = [AssignTheme("e", 1), AssignTheme("b", 2), AssignTheme("d", 3),
-                SetEdge("a", "e", 0.5), SetEdge("b", "a", 0.5), SetEdge("e", "d", 1.0), 30]
+                SetEdge("a", "e", 0.5), SetEdge("b", "a", 0.5), SetEdge("e", "d", 1.0), TICK]
 
 # SetEdge("b", "a") creates b, then a, and keys the edge in id order,
 # a before b; SetEdge("a", "b") then updates that same edge
-EDGE_BOTH_WAYS = [SetEdge("b", "a", 0.2), 30, SetEdge("a", "b", 0.7), 30]
+EDGE_BOTH_WAYS = [SetEdge("b", "a", 0.2), TICK, SetEdge("a", "b", 0.7), TICK]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@example(FAST_EDGE_FADE, PRUNE)
-@example(NO_FADE, EXPLICIT_OVER_INFERRED)
-@example(SLOW_HOT_FADE, HOT_SET_CHANGES)
-@example(NO_FADE, DOMINANT_TIES)
-@example(NO_FADE, NEAREST_TIES)
-@example(NO_FADE, NEGATIVE_ZERO_OFFER)
-@example(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
-@example(FAST_EDGE_FADE, EXPLICIT_AMONG_INFERRED)
-@example(FAST_EDGE_FADE, PROMOTE_INFERRED)
-@example(FAST_EDGE_FADE, PRUNE_MOVES_BOOSTED)
-@example(NO_FADE, BOOST_SATURATES)
-@example(NO_FADE, EDGE_BOTH_WAYS)
-@given(PARAMS, st.lists(OPS, max_size=40))
-def test_array_graph_matches_reference(params, ops):
-    run_both(params, ops)
+@example(FAST_EDGE_FADE, 30, PRUNE)
+@example(NO_FADE, 30, EXPLICIT_OVER_INFERRED)
+@example(SLOW_HOT_FADE, 30, HOT_SET_CHANGES)
+@example(NO_FADE, 30, DOMINANT_TIES)
+@example(NO_FADE, 30, NEAREST_TIES)
+@example(NO_FADE, 30, NEGATIVE_ZERO_OFFER)
+@example(FAST_EDGE_FADE, 30, PRUNE_MOVES_EXPLICIT)
+@example(FAST_EDGE_FADE, 30, EXPLICIT_AMONG_INFERRED)
+@example(FAST_EDGE_FADE, 30, PROMOTE_INFERRED)
+@example(FAST_EDGE_FADE, 30, PRUNE_MOVES_BOOSTED)
+@example(NO_FADE, 30, BOOST_SATURATES)
+@example(NO_FADE, 30, EDGE_BOTH_WAYS)
+@given(PARAMS, TICK_MS, st.lists(OPS, max_size=40))
+def test_array_graph_matches_reference(params, tick_ms, ops):
+    run_both(params, tick_ms, ops)
 
 
 def test_examples_reach_the_cases_they_name():
-    assert run_both(FAST_EDGE_FADE, PRUNE).pruned == 1
+    assert run_both(FAST_EDGE_FADE, 30, PRUNE).pruned == 1
 
-    reference = run_both(NO_FADE, EXPLICIT_OVER_INFERRED)
+    reference = run_both(NO_FADE, 30, EXPLICIT_OVER_INFERRED)
     assert reference.edges[("a", "b")] == _Edge("a", "b", 0.2, True)
     assert reference.boosted == 1  # before SetEdge only
 
-    reference = run_both(SLOW_HOT_FADE, HOT_SET_CHANGES)
+    reference = run_both(SLOW_HOT_FADE, 30, HOT_SET_CHANGES)
     assert reference.boosted > 6 and len(reference.edges) == 5
     assert reference.vertices["c"].activation < CO_ACTIVATION_THRESHOLD
     assert reference.vertices["d"].activation < CO_ACTIVATION_THRESHOLD
 
-    reference = run_both(NO_FADE, DOMINANT_TIES)
+    reference = run_both(NO_FADE, 30, DOMINANT_TIES)
     assert reference.dominant_ties() == 3
     assert reference.dominant_theme() == (2, "a")
 
-    reference = run_both(NO_FADE, NEAREST_TIES)
+    reference = run_both(NO_FADE, 30, NEAREST_TIES)
     assert reference.nearest_themed("a", 1) == [2]
     assert reference.nearest_themed("a", 3) == [2, 1, 3]
 
-    reference = run_both(NO_FADE, NEGATIVE_ZERO_OFFER)
+    reference = run_both(NO_FADE, 30, NEGATIVE_ZERO_OFFER)
     assert repr(reference.edges[("a", "b")].weight) == "-0.0"
     assert reference.negative_zero_offers == 2
 
-    reference = run_both(FAST_EDGE_FADE, PRUNE_MOVES_EXPLICIT)
+    reference = run_both(FAST_EDGE_FADE, 30, PRUNE_MOVES_EXPLICIT)
     assert reference.pruned == 1 and list(reference.edges) == [("c", "d")]
     assert reference.taken[("c", "d")] >= 1 and reference.taken[("d", "c")] >= 1
 
-    reference = run_both(FAST_EDGE_FADE, EXPLICIT_AMONG_INFERRED)
+    reference = run_both(FAST_EDGE_FADE, 30, EXPLICIT_AMONG_INFERRED)
     assert reference.pruned == 3 and list(reference.edges) == [("d", "e")]
     assert reference.taken[("d", "e")] >= 1
 
-    reference = run_both(FAST_EDGE_FADE, PROMOTE_INFERRED)
+    reference = run_both(FAST_EDGE_FADE, 30, PROMOTE_INFERRED)
     assert reference.pruned == 2
     assert reference.edges == {("b", "c"): _Edge("b", "c", 0.2, True)}
 
-    reference = run_both(FAST_EDGE_FADE, PRUNE_MOVES_BOOSTED)
+    reference = run_both(FAST_EDGE_FADE, 30, PRUNE_MOVES_BOOSTED)
     assert reference.pruned == 1 and list(reference.edges) == [("c", "d")]
     assert reference.boosted == 4  # two boosts before the prune, two after
     assert not reference.edges[("c", "d")].explicit
 
-    reference = run_both(NO_FADE, BOOST_SATURATES)
+    reference = run_both(NO_FADE, 30, BOOST_SATURATES)
     assert reference.saturated >= 3
     assert reference.edges[("a", "b")].weight == 1.0
 
-    reference = run_both(NO_FADE, EDGE_BOTH_WAYS)
+    reference = run_both(NO_FADE, 30, EDGE_BOTH_WAYS)
     assert list(reference.vertices)[len(AFFECT_CATEGORIES):] == ["b", "a"]
     assert reference.edges == {("a", "b"): _Edge("a", "b", 0.7, True)}
 

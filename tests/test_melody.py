@@ -414,7 +414,7 @@ def reference_evolve_theme(parent_a, parent_b, rng):
     if not mutated:
         mutated = list(first.notes)
     mutated.sort(key=lambda n: (n.onset, n.pitch))
-    length = _length_from_span(max(n.onset + n.duration for n in mutated), 1)
+    length = _length_from_span(max(n.onset + n.duration for n in mutated))
     return MelodicFragment(tuple(mutated), length, first.key)
 
 
